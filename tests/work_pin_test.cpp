@@ -1,0 +1,129 @@
+// Work-count pins for the solver's search: exact B&B node and simplex pivot
+// counts, plus the objective, on fixed inputs that cover the three model
+// paths production uses -- the paper's Table I layouts, a generated corpus
+// scenario, and the rebalancing loop's warm re-solves.  Any change to node
+// selection, branching, cut management, LP tolerances, or the control
+// loop's tracker shows up here as a changed count, long before it moves a
+// paper golden.  The pinned values are the solver's own output on these
+// inputs; update them only for an intended search change, and say why.
+#include <algorithm>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "hslb/cesm/configs.hpp"
+#include "hslb/hslb/layout_model.hpp"
+#include "hslb/rebal/loop.hpp"
+#include "hslb/scen/build.hpp"
+#include "hslb/scen/generate.hpp"
+#include "hslb/scen/parse.hpp"
+
+namespace hslb {
+namespace {
+
+using cesm::ComponentKind;
+using cesm::LayoutKind;
+
+constexpr double kObjectiveRelTol = 1e-9;
+
+void expect_objective(double actual, double pinned) {
+  EXPECT_NEAR(actual, pinned, kObjectiveRelTol * std::max(1.0, pinned))
+      << "objective " << actual;
+}
+
+/// The 1-degree case at N = 128 with fixed Table II curves (no campaign, so
+/// the pin isolates the solver from the gather/fit steps).
+core::LayoutModelSpec one_degree_spec(LayoutKind layout) {
+  const cesm::CaseConfig config = cesm::one_degree_case();
+  core::LayoutModelSpec spec;
+  spec.layout = layout;
+  spec.total_nodes = 128;
+  spec.perf[ComponentKind::kAtm] =
+      perf::PerfModel(perf::PerfParams{24000.0, 0.02, 1.1, 30.0});
+  spec.perf[ComponentKind::kOcn] =
+      perf::PerfModel(perf::PerfParams{9000.0, 0.05, 0.9, 25.0});
+  spec.perf[ComponentKind::kIce] =
+      perf::PerfModel(perf::PerfParams{6500.0, 0.3, 0.6, 8.0});
+  spec.perf[ComponentKind::kLnd] =
+      perf::PerfModel(perf::PerfParams{1500.0, 0.0, 1.0, 3.0});
+  spec.atm_allowed = config.atm_allowed;
+  spec.ocn_allowed = config.ocn_allowed;
+  spec.min_nodes = config.min_nodes;
+  // The pipeline's automatic Tsync: 25% of the ice time at N/2, >= 1 s.
+  spec.tsync = std::max(1.0, 0.25 * spec.perf.at(ComponentKind::kIce)(64.0));
+  return spec;
+}
+
+struct Pin {
+  long nodes = 0;
+  long pivots = 0;
+  double objective = 0.0;
+};
+
+void expect_pin(const minlp::MinlpResult& r, const Pin& pin) {
+  ASSERT_EQ(r.status, minlp::MinlpStatus::kOptimal);
+  EXPECT_EQ(r.stats.nodes_explored, pin.nodes);
+  EXPECT_EQ(r.stats.simplex_iterations, pin.pivots);
+  expect_objective(r.objective, pin.objective);
+}
+
+TEST(WorkPin, TableOneLayoutsAtOneDegree) {
+  const struct {
+    LayoutKind layout;
+    Pin pin;
+  } cases[] = {
+      {LayoutKind::kHybrid, {15, 79, 364.40508050256926}},
+      {LayoutKind::kSequentialGroup, {11, 79, 368.92446596230553}},
+      {LayoutKind::kFullySequential, {1, 54, 399.9246464960334}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(cesm::to_string(c.layout));
+    const core::LayoutModelSpec spec = one_degree_spec(c.layout);
+    core::LayoutModelVars vars;
+    expect_pin(minlp::solve(core::build_layout_model(spec, &vars)), c.pin);
+  }
+}
+
+TEST(WorkPin, GeneratedCorpusScenario) {
+  scen::GenerateOptions options;
+  options.scenarios_per_family = 1;
+  const std::vector<scen::GeneratedScenario> corpus =
+      scen::generate_corpus(options);
+  const auto it = std::find_if(
+      corpus.begin(), corpus.end(), [](const scen::GeneratedScenario& g) {
+        return g.family == "medium_hetero_memcomm";
+      });
+  ASSERT_NE(it, corpus.end());
+  scen::ScenarioModelVars vars;
+  expect_pin(minlp::solve(scen::build_scenario_model(it->scenario, &vars)),
+             {173, 3040, 12679.356094799785});
+}
+
+TEST(WorkPin, RebalancingHorizon) {
+  const scen::Scenario s = scen::parse_scenario(R"(scenario work_pin
+machine nodes=48 cores_per_node=8 mem_gb_per_node=64
+component atm curve=pow a=4000 b=0.5 c=1.2 d=10
+component ocn curve=pow a=2500 b=0.4 c=1.1 d=8
+component ice curve=pow a=800 b=0.2 c=1 d=4
+component lnd curve=pow a=300 b=0.1 c=1 d=2
+comm atm ocn 0.02
+schedule ocn | (ice | lnd) -> atm
+drift atm rate=0.0001 noise=0.02 shifts=60:1.6
+drift ocn rate=-0.0001 noise=0.02 shifts=140:0.55
+drift ice noise=0.015
+)");
+  rebal::LoopOptions options;
+  options.horizon = 200;
+  options.detector.fire_threshold = 0.08;
+  options.detector.clear_threshold = 0.03;
+  const rebal::HorizonResult r = rebal::run_horizon(s, options);
+  EXPECT_EQ(r.detector_fires, 2);
+  EXPECT_EQ(r.rebalances, 2);
+  EXPECT_EQ(r.regime_shifts_flagged, 2);
+  EXPECT_EQ(r.resolve_nodes, 34);
+  EXPECT_EQ(r.resolve_simplex_iterations, 127);
+  expect_objective(r.core_hours, 5697.3167333351867);
+}
+
+}  // namespace
+}  // namespace hslb

@@ -45,7 +45,14 @@ Expr variable(std::size_t index, std::string name) {
   auto node = std::make_shared<Node>();
   node->op = Op::kVar;
   node->var_index = index;
-  node->var_name = name.empty() ? "x" + std::to_string(index) : std::move(name);
+  if (name.empty()) {
+    // Appended to a fresh string, not `"x" + ...` or assign(): GCC 12 at -O3
+    // misreports both under -Wrestrict.
+    std::string fallback("x");
+    fallback.append(std::to_string(index));
+    name = std::move(fallback);
+  }
+  node->var_name = std::move(name);
   return Expr(std::move(node));
 }
 

@@ -48,9 +48,18 @@ std::string render_const(double v) {
 
 std::string render(const Node& node);
 
+/// prefix + body + suffix, built by appending to the prefix (GCC 12 at -O3
+/// misreports the inlined `"literal" + std::string` under -Wrestrict).
+std::string wrap(const char* prefix, const std::string& body,
+                 const char* suffix = "") {
+  std::string out(prefix);
+  out.append(body).append(suffix);
+  return out;
+}
+
 std::string child(const Node& parent, const Node& kid) {
   if (precedence(kid.op) < precedence(parent.op)) {
-    return "(" + render(kid) + ")";
+    return wrap("(", render(kid), ")");
   }
   return render(kid);
 }
@@ -66,7 +75,7 @@ std::string render(const Node& node) {
       for (std::size_t i = 0; i < node.children.size(); ++i) {
         const Node& kid = *node.children[i];
         if (i > 0 && kid.op == Op::kNeg) {
-          out += " - " + child(node, *kid.children[0]);
+          out.append(" - ").append(child(node, *kid.children[0]));
         } else {
           if (i > 0) {
             out += " + ";
@@ -85,11 +94,11 @@ std::string render(const Node& node) {
     case Op::kPow:
       return child(node, *node.children[0]) + "^" + render_const(node.value);
     case Op::kNeg:
-      return "-" + child(node, *node.children[0]);
+      return wrap("-", child(node, *node.children[0]));
     case Op::kLog:
-      return "log(" + render(*node.children[0]) + ")";
+      return wrap("log(", render(*node.children[0]), ")");
     case Op::kExp:
-      return "exp(" + render(*node.children[0]) + ")";
+      return wrap("exp(", render(*node.children[0]), ")");
   }
   throw InternalError("unhandled expression op in printer");
 }

@@ -13,6 +13,34 @@ namespace hslb::core {
 
 using cesm::ComponentKind;
 
+LayoutModelSpec layout_spec(const PipelineConfig& config,
+                            std::map<ComponentKind, perf::PerfModel> perf) {
+  LayoutModelSpec spec;
+  spec.layout = config.layout;
+  spec.total_nodes = config.total_nodes;
+  spec.objective = config.objective;
+  spec.use_sos = config.use_sos;
+  spec.min_nodes = config.case_config.min_nodes;
+  spec.perf = std::move(perf);
+  if (config.constrain_atm) {
+    spec.atm_allowed = config.case_config.atm_allowed;
+  }
+  if (config.constrain_ocean) {
+    spec.ocn_allowed = config.case_config.ocn_allowed;
+  }
+  if (config.tsync >= 0.0) {
+    spec.tsync = config.tsync;
+  } else {
+    // Auto tolerance: 25% of the fitted sea-ice time at a mid-size ice
+    // allocation -- loose enough to always admit a solution, tight enough
+    // to force the ice/land balance of Table I lines 18-19.
+    const double ref = spec.perf.at(ComponentKind::kIce)(
+        std::max(1.0, config.total_nodes / 2.0));
+    spec.tsync = std::max(1.0, 0.25 * ref);
+  }
+  return spec;
+}
+
 std::vector<int> default_gather_totals(int total_nodes) {
   HSLB_REQUIRE(total_nodes >= 32, "target machine slice too small");
   const int lo = std::max(32, total_nodes / 16);
@@ -20,6 +48,13 @@ std::vector<int> default_gather_totals(int total_nodes) {
 }
 
 namespace {
+
+/// Resilience layer: modified z-score cutoff (MAD units) for outliers.
+constexpr double kOutlierThreshold = 3.5;
+/// Resilience layer: fewer clean samples than this degrade a component.
+constexpr int kMinCleanSamples = 3;
+/// Resilience layer: targeted re-sampling budget, in campaign rounds.
+constexpr int kMaxResampleRounds = 2;
 
 /// Re-run the benchmark campaign for one targeted re-sampling round.
 using Resampler = std::function<cesm::CampaignResult(int round)>;
@@ -38,28 +73,14 @@ void merge_fault_report(cesm::CampaignFaultReport* into,
   into->sim_seconds_lost += extra.sim_seconds_lost;
 }
 
-/// The shared step-3 core: finish the spec (allowed sets, tsync), solve the
-/// Table I MINLP, and fill the allocation + per-component outcomes.  `spec`
-/// must already carry the fitted performance functions.  All state lives in
-/// the arguments -- the function is reentrant across threads.
-void solve_step(const PipelineConfig& config, LayoutModelSpec& spec,
-                bool resilient, HslbResult* out) {
-  if (config.constrain_atm) {
-    spec.atm_allowed = config.case_config.atm_allowed;
-  }
-  if (config.constrain_ocean) {
-    spec.ocn_allowed = config.case_config.ocn_allowed;
-  }
-  if (config.tsync >= 0.0) {
-    spec.tsync = config.tsync;
-  } else {
-    // Auto tolerance: 25% of the fitted sea-ice time at a mid-size ice
-    // allocation -- loose enough to always admit a solution, tight enough
-    // to force the ice/land balance of Table I lines 18-19.
-    const double ref = spec.perf.at(ComponentKind::kIce)(
-        std::max(1.0, config.total_nodes / 2.0));
-    spec.tsync = std::max(1.0, 0.25 * ref);
-  }
+/// The shared step-3 core: assemble the spec from the config and the
+/// fitted curves, solve the Table I MINLP, and fill the allocation +
+/// per-component outcomes.  All state lives in the arguments -- the function
+/// is reentrant across threads.
+void solve_step(const PipelineConfig& config,
+                std::map<ComponentKind, perf::PerfModel> perf, bool resilient,
+                HslbResult* out) {
+  const LayoutModelSpec spec = layout_spec(config, std::move(perf));
   out->tsync_used = spec.tsync;
 
   LayoutModelVars vars;
@@ -109,12 +130,7 @@ HslbResult solve_and_execute(const PipelineConfig& config,
   out.samples = std::move(samples);
 
   // --- Step 2: fit (four least-squares problems, Table II). ----------------
-  LayoutModelSpec spec;
-  spec.layout = config.layout;
-  spec.total_nodes = config.total_nodes;
-  spec.objective = config.objective;
-  spec.use_sos = config.use_sos;
-  spec.min_nodes = config.case_config.min_nodes;
+  std::map<ComponentKind, perf::PerfModel> perf;
   {
     HSLB_SPAN("hslb.fit");
 
@@ -133,20 +149,18 @@ HslbResult solve_and_execute(const PipelineConfig& config,
         ComponentResilience& entry = tally[kind];
         if (resilient) {
           FilteredSeries filtered =
-              reject_outliers(series, config.resilience.outlier_threshold,
-                              config.fit_options);
+              reject_outliers(series, kOutlierThreshold, config.fit_options);
           entry.samples_rejected = filtered.rejected;
           series = std::move(filtered.series);
         }
-        if (static_cast<int>(series.nodes.size()) <
-            config.resilience.min_clean_samples) {
+        if (static_cast<int>(series.nodes.size()) < kMinCleanSamples) {
           quorum_missing = true;
         }
         entry.samples_used = static_cast<int>(series.nodes.size());
         clean[kind] = std::move(series);
       }
       if (!resilient || !quorum_missing || !resample ||
-          rounds >= config.resilience.max_resample_rounds) {
+          rounds >= kMaxResampleRounds) {
         break;
       }
       ++rounds;
@@ -161,8 +175,8 @@ HslbResult solve_and_execute(const PipelineConfig& config,
     }
 
     perf::FitOptions fit_options = config.fit_options;
-    if (resilient && config.resilience.robust_fit) {
-      fit_options.robust_loss = true;
+    if (resilient) {
+      fit_options.robust_loss = true;  // Huber loss in the final fits
     }
     for (const ComponentKind kind : cesm::kModeledComponents) {
       obs::ScopedSpan span("hslb.fit.component");
@@ -182,7 +196,7 @@ HslbResult solve_and_execute(const PipelineConfig& config,
         HSLB_REQUIRE(series.nodes.size() >= 3,
                      "need at least 3 samples per component to fit");
       }
-      spec.perf[kind] = out.fits.at(kind).model;
+      perf[kind] = out.fits.at(kind).model;
     }
     if (resilient) {
       out.resilience.components = std::move(tally);
@@ -190,7 +204,7 @@ HslbResult solve_and_execute(const PipelineConfig& config,
   }
 
   // --- Step 3: solve the Table I MINLP. -------------------------------------
-  solve_step(config, spec, resilient, &out);
+  solve_step(config, std::move(perf), resilient, &out);
 
   // --- Step 4: execute at the optimal allocation. ---------------------------
   if (execute) {
@@ -281,17 +295,10 @@ HslbResult run_hslb_from_fits(
   HSLB_REQUIRE(config.total_nodes >= 8, "target machine slice too small");
 
   HslbResult out;
-  LayoutModelSpec spec;
-  spec.layout = config.layout;
-  spec.total_nodes = config.total_nodes;
-  spec.objective = config.objective;
-  spec.use_sos = config.use_sos;
-  spec.min_nodes = config.case_config.min_nodes;
   for (const ComponentKind kind : cesm::kModeledComponents) {
     HSLB_REQUIRE(fits.count(kind) != 0,
                  std::string("missing fitted curve for component ") +
                      cesm::to_string(kind));
-    spec.perf[kind] = fits.at(kind);
     // Wrap the given model so HslbResult carries the same shape as the
     // fitted paths; no residual statistics exist for a shipped curve.
     perf::FitResult wrapped;
@@ -302,7 +309,7 @@ HslbResult run_hslb_from_fits(
 
   const bool resilient =
       config.resilience.enabled || config.faults.enabled();
-  solve_step(config, spec, resilient, &out);
+  solve_step(config, fits, resilient, &out);
   out.degraded = out.resilience.degraded();
   return out;
 }

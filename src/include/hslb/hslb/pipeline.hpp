@@ -19,8 +19,9 @@ struct PipelineConfig {
   int total_nodes = 0;            ///< target machine slice N
   std::vector<int> gather_totals; ///< campaign sizes (step 1)
   perf::FitOptions fit_options;   ///< step 2 options
-  double tsync = -1.0;  ///< ice/land sync tolerance (s); < 0: auto (5% of
-                        ///< the fitted ice time at the target size)
+  /// Ice/land sync tolerance (s); < 0: auto, 25% of the fitted ice time at
+  /// N/2 nodes, at least 1 s (see layout_spec).
+  double tsync = -1.0;
   bool constrain_ocean = true;  ///< use the case's allowed ocean set
   bool constrain_atm = true;    ///< use the case's allowed atm set
   bool use_sos = true;
@@ -96,6 +97,16 @@ struct HslbResult {
 [[nodiscard]] HslbResult run_hslb_from_fits(
     const PipelineConfig& config,
     const std::map<cesm::ComponentKind, perf::PerfModel>& fits);
+
+/// The Table I spec that step 3 solves for `config` and the fitted curves
+/// `perf`: layout, N, objective, SOS branching and memory floors from the
+/// config; the case's allowed atm/ocean sets when the config constrains
+/// them; Tsync from config.tsync, or when that is < 0 the automatic rule,
+/// 25% of the fitted ice time at N/2 nodes with a 1 s floor (which needs a
+/// curve for the ice component).
+[[nodiscard]] LayoutModelSpec layout_spec(
+    const PipelineConfig& config,
+    std::map<cesm::ComponentKind, perf::PerfModel> perf);
 
 /// Default campaign sizes for a target machine slice: five log-spaced totals
 /// from max(32, N/16) to N (the paper benchmarks at about five core counts).

@@ -25,11 +25,7 @@ namespace hslb::core {
 /// enabled or `enabled` is set explicitly (for archived noisy samples).
 struct ResilienceOptions {
   bool enabled = false;  ///< force resilience even without injected faults
-  common::RetryPolicy retry;      ///< per-benchmark retry/backoff budget
-  double outlier_threshold = 3.5; ///< modified z-score cutoff (MAD units)
-  int min_clean_samples = 3;      ///< fewer clean samples => degrade
-  int max_resample_rounds = 2;    ///< targeted re-sampling budget
-  bool robust_fit = true;         ///< Huber loss in the final fits
+  common::RetryPolicy retry;  ///< per-benchmark retry/backoff budget
 };
 
 /// Outlier-rejection outcome for one component's series.

@@ -109,9 +109,6 @@ struct WarmFactor {
 };
 
 struct SimplexOptions {
-  double feasibility_tol = 1e-7;   ///< bound/row violation tolerance
-  double optimality_tol = 1e-8;    ///< reduced-cost tolerance
-  int max_iterations = 50000;      ///< across both phases
   /// Capture the final basis into LpSolution::basis on optimal termination
   /// (for warm-starting a related re-solve).  Off by default: capturing
   /// copies two status vectors per solve.
@@ -128,10 +125,6 @@ struct SimplexOptions {
   /// Sparse engine: refuse an eta whose pivot |w_r| falls below this
   /// fraction of max(1, ||w||_inf) and refactorize instead.
   double eta_stability_tol = 1e-8;
-  /// Sparse engine: maximum depth of inherited factor levels (parent
-  /// snapshots + borders) before a handoff is declined in favor of a fresh
-  /// factorization.
-  int max_factor_levels = 4;
   /// Capture a FactorSnapshot into LpSolution::factor on optimal
   /// termination (sparse engine only; requires WarmFactor::row_keys).
   bool capture_factor = false;

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "hslb/lp/simplex.hpp"
@@ -34,11 +33,8 @@ enum class MinlpStatus {
 
 const char* to_string(MinlpStatus status);
 
-enum class NodeSelection { kBestBound, kDepthFirst };
-
-/// One structured solver progress event.  The solver emits these through
-/// SolverOptions::event_sink; `to_line()` renders the legacy text format
-/// that the plain-string `logger` used to receive.
+/// One structured solver progress event, emitted through
+/// SolverOptions::event_sink.
 struct SolverEvent {
   enum class Kind {
     kPresolve,   ///< after FBBT: tightenings/rounds filled
@@ -56,9 +52,6 @@ struct SolverEvent {
   int presolve_rounds = 0;
   long lp_solves = 0;
   long cuts_added = 0;
-
-  /// Render in the legacy one-line logger format.
-  std::string to_line() const;
 };
 
 using SolverEventSink = std::function<void(const SolverEvent&)>;
@@ -85,10 +78,7 @@ struct WarmStart {
 
 struct SolverOptions {
   bool use_sos_branching = true;   ///< false: branch binaries individually
-  bool use_root_nlp = true;        ///< seed cuts from a barrier NLP solve
   bool use_presolve = true;        ///< FBBT bound tightening before B&B
-  NodeSelection node_selection = NodeSelection::kBestBound;
-  double integer_tol = 1e-6;
   double rel_gap = 1e-8;           ///< relative optimality gap
   long max_nodes = 2'000'000;
   /// Wall-clock budget in seconds; <= 0 means unlimited.  When the budget
@@ -96,14 +86,9 @@ struct SolverOptions {
   /// with status kTimeLimit (kTimeLimit without a point means no feasible
   /// solution was found in time).
   double max_wall_seconds = 0.0;
-  int cut_rounds_per_node = 8;     ///< OA re-solve rounds per node
-  int initial_tangents_per_link = 5;
   /// Structured progress sink (presolve summary, incumbent updates,
   /// periodic node counts, final summary).
   SolverEventSink event_sink;
-  /// Legacy plain-text sink, kept for back compatibility: receives
-  /// SolverEvent::to_line() for every event the sink above would see.
-  std::function<void(const std::string&)> logger;
   /// Node-count cadence for kProgress events.  The first heartbeat fires
   /// at node 1 (so short solves still produce one), then every multiple.
   long log_every_nodes = 100;
@@ -119,11 +104,11 @@ struct SolverOptions {
   /// `epoch_batch` changes the search (batch members do not see each
   /// other's cuts or incumbents), changing `threads` does not.  1 reproduces
   /// the classic serial node loop exactly.  Each epoch takes half its picks
-  /// by the configured node selection and half as dives to the deepest open
-  /// nodes, so incumbents keep arriving even though a batch shares one
-  /// snapshot.  Larger batches expose more parallelism but search with
-  /// staler cuts/cutoffs and so explore more nodes; 4 measured best on the
-  /// Table I cases (bench_minlp_parallel sweeps this).
+  /// best-bound first and half as dives to the deepest open nodes, so
+  /// incumbents keep arriving even though a batch shares one snapshot.
+  /// Larger batches expose more parallelism but search with staler
+  /// cuts/cutoffs and so explore more nodes; 4 measured best on the Table I
+  /// cases (bench_minlp_parallel sweeps this).
   int epoch_batch = 4;
   /// Warm-start every node LP from the parent's captured simplex basis
   /// (remapped by stable row keys).  Deterministic: the warm basis a node
@@ -134,9 +119,6 @@ struct SolverOptions {
   /// path selectable for A/B comparison (bench_scen_corpus's dense arm).
   /// Factor handoff across nodes only applies under kSparse.
   lp::LpEngine lp_engine = lp::LpEngine::kSparse;
-  /// Cap on pooled cuts; the oldest non-root cuts age out at epoch
-  /// boundaries (a deterministic point) when the pool exceeds this.
-  std::size_t max_pool_cuts = 512;
 
   // --- Cross-solve warm starts (the online rebalancing loop) ---------------
   /// State captured by a previous solve of a structurally identical model.

@@ -17,7 +17,6 @@
 namespace hslb::minlp {
 
 struct NlpBbOptions {
-  double integer_tol = 1e-6;
   double rel_gap = 1e-6;
   long max_nodes = 100000;
   /// Worker threads for node NLP solves; <= 0 picks hardware concurrency.

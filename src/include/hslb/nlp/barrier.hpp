@@ -43,11 +43,7 @@ enum class NlpStatus {
 const char* to_string(NlpStatus status);
 
 struct BarrierOptions {
-  double sigma = 0.2;          ///< centering parameter (mu shrink per step)
-  double gap_tol = 1e-9;       ///< complementarity target s.z/m
-  double residual_tol = 1e-7;  ///< KKT residual tolerance (scaled)
-  int max_iterations = 300;
-  double interior_margin = 1e-10;  ///< slack floor at initialization
+  double gap_tol = 1e-9;  ///< complementarity target s.z/m
 };
 
 struct NlpResult {

@@ -26,16 +26,11 @@ using ResidualFn = std::function<void(std::span<const double> theta,
 enum class LmLoss { kLeastSquares, kHuber };
 
 struct LmOptions {
-  int max_iterations = 200;
-  double gradient_tol = 1e-10;   ///< stop when ||J^T r||_inf below this
-  double step_tol = 1e-12;       ///< stop when the step is negligible
-  double initial_lambda = 1e-3;  ///< initial damping
   LmLoss loss = LmLoss::kLeastSquares;
   /// Huber transition point: residuals beyond `huber_delta` scale factors
   /// of the residuals' median absolute deviation get down-weighted.  The
   /// threshold adapts to the residual scale each IRLS round.
   double huber_delta = 1.345;
-  int irls_rounds = 5;           ///< reweighting rounds for kHuber
 };
 
 struct LmResult {

@@ -31,7 +31,6 @@ struct LoopOptions {
   std::uint64_t seed = 2026;   ///< drift replay seed
   long horizon = 1000;         ///< execute steps to simulate
   DetectorOptions detector;
-  ScaleTrackerOptions tracker;
 
   /// false: static arm -- solve once at step 0 and never rebalance (the
   /// paper's offline HSLB, measured under drift for comparison).
@@ -40,15 +39,7 @@ struct LoopOptions {
   /// false: every re-solve starts cold -- the A/B arm of the bench.
   bool warm = true;
 
-  /// Node budget per in-loop re-solve; on exhaustion without an incumbent
-  /// the loop drops to the heuristic grid-search rung.
-  long solver_max_nodes = 50'000;
   int solver_threads = 1;
-
-  /// Modeled cost of one rebalance, charged deterministically as this many
-  /// steps of machine time at the pre-rebalance step duration (solver wall
-  /// time is machine-dependent and is reported separately as timing data).
-  double rebalance_overhead_steps = 2.0;
 };
 
 /// One accepted rebalance.

@@ -56,17 +56,10 @@ class RecursiveLeastSquares {
 
 /// Two-sided CUSUM over standardized residuals: accumulates
 /// max(0, s + |z| - k) per side and flags when either side crosses h.
-/// k (the allowance) absorbs the RLS tracking lag on slow drift; h sets the
-/// evidence needed to call a shift.
-struct CusumOptions {
-  double k = 0.5;   ///< per-step allowance, in sigma units
-  double h = 12.0;  ///< decision threshold, in sigma units
-};
-
+/// k = 0.5 sigma (the allowance) absorbs the RLS tracking lag on slow
+/// drift; h = 12 sigma sets the evidence needed to call a shift.
 class ResidualCusum {
  public:
-  explicit ResidualCusum(const CusumOptions& options = {});
-
   /// Feed one standardized residual; true when a shift is flagged (the
   /// accumulators reset on a flag).
   bool observe(double z);
@@ -76,7 +69,6 @@ class ResidualCusum {
   double negative() const { return negative_; }
 
  private:
-  CusumOptions options_;
   double positive_ = 0.0;
   double negative_ = 0.0;
 };
@@ -86,30 +78,11 @@ class ResidualCusum {
 /// beyond delta robust-sigma.  Returns 0 for an empty span.
 double huber_location(std::span<const double> samples, double delta = 1.345);
 
-struct ScaleTrackerOptions {
-  double forgetting = 0.97;     ///< RLS lambda for the slow-drift path
-  CusumOptions cusum;           ///< regime-shift flagging
-  int refit_window = 6;         ///< recent ratios fed to the Huber re-fit
-  double huber_delta = 1.345;   ///< PR 2 robust transition point
-  /// Floor on the residual sigma estimate (relative units) so a noise-free
-  /// stream cannot standardize rounding error into fake shifts.
-  double min_sigma = 1e-3;
-  /// Samples of plain (unweighted) variance averaging before the CUSUM is
-  /// trusted, at start and again after every shift reset: seeding the
-  /// exponentially weighted variance from one residual would let an early
-  /// small noise draw shrink sigma and standardize noise into fake shifts.
-  int variance_warmup = 8;
-  /// Covariance after a regime shift: large enough to re-converge in a few
-  /// steps, small enough that one noisy sample cannot override the Huber
-  /// level the re-fit just installed.
-  double shift_covariance = 0.5;
-};
-
 /// Online estimator of one component's multiplicative cost scale from the
 /// stream of ratios  observed_seconds / base_curve_seconds.
 class ScaleTracker {
  public:
-  explicit ScaleTracker(const ScaleTrackerOptions& options = {});
+  ScaleTracker();
 
   struct Update {
     double scale = 1.0;        ///< current estimate after this sample
@@ -123,10 +96,9 @@ class ScaleTracker {
   long regime_shifts() const { return regime_shifts_; }
 
  private:
-  ScaleTrackerOptions options_;
   RecursiveLeastSquares rls_;
   ResidualCusum cusum_;
-  std::vector<double> recent_;  ///< ring of the last refit_window ratios
+  std::vector<double> recent_;  ///< ring of the last kRefitWindow ratios
   int next_recent_ = 0;
   int recent_filled_ = 0;
   double residual_var_ = 0.0;   ///< EW estimate of residual variance

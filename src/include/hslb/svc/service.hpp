@@ -88,8 +88,6 @@ struct ServiceConfig {
   /// svc.coalesced, svc.shed.*, svc.solves) and per-solve latency
   /// histograms.  Null: service-level metrics are still tallied in stats().
   obs::Options obs;
-  /// Register the two paper cases ("1deg", "eighth") at construction.
-  bool register_builtin_cases = true;
 };
 
 /// Monotonic service tallies (also mirrored into the obs registry).
@@ -122,6 +120,7 @@ class AllocationService {
     bool coalesced = false;   ///< attached to an identical in-flight request
   };
 
+  /// The catalog starts with the two paper cases, "1deg" and "eighth".
   explicit AllocationService(ServiceConfig config);
   ~AllocationService();
   AllocationService(const AllocationService&) = delete;

@@ -11,8 +11,14 @@ std::size_t LpProblem::add_variable(double lower, double upper, double cost,
   cost_.push_back(cost);
   col_lower_.push_back(lower);
   col_upper_.push_back(upper);
-  names_.push_back(name.empty() ? "x" + std::to_string(cost_.size() - 1)
-                                : std::move(name));
+  if (name.empty()) {
+    // Appended to a fresh string, not `"x" + ...` or assign(): GCC 12 at -O3
+    // misreports both under -Wrestrict.
+    std::string fallback("x");
+    fallback.append(std::to_string(cost_.size() - 1));
+    name = std::move(fallback);
+  }
+  names_.push_back(std::move(name));
   return cost_.size() - 1;
 }
 

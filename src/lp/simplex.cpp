@@ -85,6 +85,17 @@ class FactorSnapshot {
 
 namespace {
 
+/// Bound/row violation tolerance.
+constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost tolerance.
+constexpr double kOptimalityTol = 1e-8;
+/// Pivot cap across both phases.
+constexpr int kMaxIterations = 50000;
+/// Sparse engine: maximum depth of inherited factor levels (parent snapshots
+/// + borders) before a handoff is declined in favor of a fresh
+/// factorization.
+constexpr int kMaxFactorLevels = 4;
+
 using linalg::EtaFile;
 using linalg::LuFactor;
 using linalg::Matrix;
@@ -184,7 +195,7 @@ class DenseSimplex {
         infeasibility += value_[n_ + m_ + i];
       }
       if (infeasibility >
-          opts_.feasibility_tol * std::max<double>(1.0, static_cast<double>(m_))) {
+          kFeasibilityTol * std::max<double>(1.0, static_cast<double>(m_))) {
         out.status = LpStatus::kInfeasible;
         finalize(out);
         return out;
@@ -380,8 +391,8 @@ class DenseSimplex {
     for (std::size_t i = 0; i < m_; ++i) {
       const std::size_t bj = basis_[i];
       const double v = value_[bj];
-      if (v < lower_[bj] - opts_.feasibility_tol ||
-          v > upper_[bj] + opts_.feasibility_tol) {
+      if (v < lower_[bj] - kFeasibilityTol ||
+          v > upper_[bj] + kFeasibilityTol) {
         return false;
       }
     }
@@ -404,7 +415,7 @@ class DenseSimplex {
     // churning on degeneracy; the cold start is cheaper than letting it
     // run (measured: pathological repairs averaged ~200 pivots under a
     // 20m cap where a cold solve takes ~40).
-    const int cap = std::min(opts_.max_iterations - iterations_,
+    const int cap = std::min(kMaxIterations - iterations_,
                              static_cast<int>(m_) + 10);
     // Stricter than the primal ratio test's 1e-9: a tiny repair pivot
     // leaves a near-singular basis that Phase II inherits.  Refusing the
@@ -427,11 +438,11 @@ class DenseSimplex {
         // Absolute tolerance, matching basics_feasible(): the repair must
         // hand Phase II a vertex whose residual violations are too small
         // to show up in the objective.
-        if (v < lower_[bj] - opts_.feasibility_tol && lower_[bj] - v > worst) {
+        if (v < lower_[bj] - kFeasibilityTol && lower_[bj] - v > worst) {
           worst = lower_[bj] - v;
           r = static_cast<std::ptrdiff_t>(i);
           above = false;
-        } else if (v > upper_[bj] + opts_.feasibility_tol &&
+        } else if (v > upper_[bj] + kFeasibilityTol &&
                    v - upper_[bj] > worst) {
           worst = v - upper_[bj];
           r = static_cast<std::ptrdiff_t>(i);
@@ -608,7 +619,7 @@ class DenseSimplex {
     int phase_iterations = 0;
 
     for (;;) {
-      if (iterations_ >= opts_.max_iterations) {
+      if (iterations_ >= kMaxIterations) {
         return LpStatus::kIterationLimit;
       }
       const bool bland = phase_iterations > bland_threshold;
@@ -651,7 +662,7 @@ class DenseSimplex {
 
       std::size_t entering = total_;
       int direction = 0;  // +1 increase, -1 decrease
-      double best_score = opts_.optimality_tol;
+      double best_score = kOptimalityTol;
       for (std::size_t j = 0; j < total_; ++j) {
         const VarStatus st = status_[j];
         if (st == VarStatus::kBasic || st == VarStatus::kFixed) {
@@ -666,10 +677,10 @@ class DenseSimplex {
         }
         int dir = 0;
         if ((st == VarStatus::kAtLower || st == VarStatus::kFree) &&
-            d < -opts_.optimality_tol) {
+            d < -kOptimalityTol) {
           dir = +1;
         } else if ((st == VarStatus::kAtUpper || st == VarStatus::kFree) &&
-                   d > opts_.optimality_tol) {
+                   d > kOptimalityTol) {
           dir = -1;
         }
         if (dir == 0) {
@@ -1189,7 +1200,7 @@ class SparseSimplex {
         infeasibility += ws_.value[n_ + m_ + i];
       }
       if (infeasibility >
-          opts_.feasibility_tol * std::max<double>(1.0, static_cast<double>(m_))) {
+          kFeasibilityTol * std::max<double>(1.0, static_cast<double>(m_))) {
         out.status = LpStatus::kInfeasible;
         finalize(out);
         return out;
@@ -1373,8 +1384,8 @@ class SparseSimplex {
     for (std::size_t i = 0; i < m_; ++i) {
       const std::size_t bj = ws_.basis[i];
       const double v = ws_.value[bj];
-      if (v < ws_.lower[bj] - opts_.feasibility_tol ||
-          v > ws_.upper[bj] + opts_.feasibility_tol) {
+      if (v < ws_.lower[bj] - kFeasibilityTol ||
+          v > ws_.upper[bj] + kFeasibilityTol) {
         return false;
       }
     }
@@ -1424,7 +1435,7 @@ class SparseSimplex {
     if (snap.n != n_ || keys.size() != m_) {
       return false;
     }
-    if (snap.levels + 1 > opts_.max_factor_levels) {
+    if (snap.levels + 1 > kMaxFactorLevels) {
       return false;
     }
     if (snap.total_etas >= opts_.refactor_interval) {
@@ -1615,7 +1626,7 @@ class SparseSimplex {
   /// absorbed as an eta update (or a refactorization when refused), and a
   /// singular rebuild bails to the cold start like every other failure.
   bool dual_repair(const Vector& cost) {
-    const int cap = std::min(opts_.max_iterations - iterations_,
+    const int cap = std::min(kMaxIterations - iterations_,
                              static_cast<int>(m_) + 10);
     const double pivot_tol = 1e-7;
     for (int it = 0;; ++it) {
@@ -1627,12 +1638,12 @@ class SparseSimplex {
       for (std::size_t i = 0; i < m_; ++i) {
         const std::size_t bj = ws_.basis[i];
         const double v = ws_.value[bj];
-        if (v < ws_.lower[bj] - opts_.feasibility_tol &&
+        if (v < ws_.lower[bj] - kFeasibilityTol &&
             ws_.lower[bj] - v > worst) {
           worst = ws_.lower[bj] - v;
           r = static_cast<std::ptrdiff_t>(i);
           above = false;
-        } else if (v > ws_.upper[bj] + opts_.feasibility_tol &&
+        } else if (v > ws_.upper[bj] + kFeasibilityTol &&
                    v - ws_.upper[bj] > worst) {
           worst = v - ws_.upper[bj];
           r = static_cast<std::ptrdiff_t>(i);
@@ -1778,7 +1789,7 @@ class SparseSimplex {
     int phase_iterations = 0;
 
     for (;;) {
-      if (iterations_ >= opts_.max_iterations) {
+      if (iterations_ >= kMaxIterations) {
         return LpStatus::kIterationLimit;
       }
       const bool bland = phase_iterations > bland_threshold;
@@ -1795,7 +1806,7 @@ class SparseSimplex {
 
       std::size_t entering = total_;
       int direction = 0;  // +1 increase, -1 decrease
-      double best_score = opts_.optimality_tol;
+      double best_score = kOptimalityTol;
       for (std::size_t j = 0; j < total_; ++j) {
         const VarStatus st = ws_.status[j];
         if (st == VarStatus::kBasic || st == VarStatus::kFixed) {
@@ -1815,10 +1826,10 @@ class SparseSimplex {
         }
         int dir = 0;
         if ((st == VarStatus::kAtLower || st == VarStatus::kFree) &&
-            d < -opts_.optimality_tol) {
+            d < -kOptimalityTol) {
           dir = +1;
         } else if ((st == VarStatus::kAtUpper || st == VarStatus::kFree) &&
-                   d > opts_.optimality_tol) {
+                   d > kOptimalityTol) {
           dir = -1;
         }
         if (dir == 0) {

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -34,6 +33,16 @@ namespace hslb::minlp {
 namespace {
 
 using linalg::Vector;
+
+/// Integrality and SOS1 membership tolerance.
+constexpr double kIntegerTol = 1e-6;
+/// Outer-approximation re-solve rounds per node.
+constexpr int kCutRoundsPerNode = 8;
+/// Root tangents seeded on each univariate link.
+constexpr int kInitialTangentsPerLink = 5;
+/// Cap on pooled cuts; the oldest non-root cuts age out at epoch boundaries
+/// (a deterministic point) when the pool exceeds this.
+constexpr std::size_t kMaxPoolCuts = 512;
 
 struct Node {
   Vector lower;
@@ -64,30 +73,21 @@ struct NodeScratch {
   common::VectorPool<double> bounds;
 };
 
-/// Open-node container honoring the selection policy: a binary heap ordered
-/// by (bound, id) for best-bound / by id (LIFO) for depth-first, plus a
-/// multiset of open bounds so best_open_bound() is O(1) instead of the old
-/// linear scan per gap report.
+/// Best-bound open-node container: a binary heap ordered by (bound, id),
+/// plus a multiset of open bounds so best_open_bound() is O(1) instead of
+/// the old linear scan per gap report.
 class NodeQueue {
  public:
-  explicit NodeQueue(NodeSelection selection) : selection_(selection) {}
-
-  /// Comparator for std::push_heap: "a has lower priority than b".
-  auto lower_priority() const {
-    const NodeSelection sel = selection_;
-    return [sel](const Node& a, const Node& b) {
-      if (sel == NodeSelection::kBestBound) {
-        // Min (bound, id): older nodes win ties for reproducibility.
-        return std::tie(a.bound, a.id) > std::tie(b.bound, b.id);
-      }
-      return a.id < b.id;  // depth-first: newest node first (LIFO)
-    };
+  /// Comparator for std::push_heap: "a has lower priority than b".  Min
+  /// (bound, id): older nodes win ties for reproducibility.
+  static bool lower_priority(const Node& a, const Node& b) {
+    return std::tie(a.bound, a.id) > std::tie(b.bound, b.id);
   }
 
   void push(Node node) {
     bounds_.insert(node.bound);
     heap_.push_back(std::move(node));
-    std::push_heap(heap_.begin(), heap_.end(), lower_priority());
+    std::push_heap(heap_.begin(), heap_.end(), lower_priority);
   }
 
   bool empty() const { return heap_.empty(); }
@@ -95,7 +95,7 @@ class NodeQueue {
 
   Node pop() {
     HSLB_ASSERT(!heap_.empty(), "pop from empty node queue");
-    std::pop_heap(heap_.begin(), heap_.end(), lower_priority());
+    std::pop_heap(heap_.begin(), heap_.end(), lower_priority);
     Node node = std::move(heap_.back());
     heap_.pop_back();
     bounds_.erase(bounds_.find(node.bound));
@@ -103,7 +103,7 @@ class NodeQueue {
   }
 
   /// Remove and return the deepest open node (max (depth, id)).  Epoch
-  /// batches mix these "dive" picks with the configured selection: a batch
+  /// batches mix these "dive" picks with best-bound pops: a batch
   /// shares one immutable snapshot, so pure best-bound batches would spend
   /// every slot widening the frontier while the incumbent -- the thing that
   /// prunes the frontier -- only ever arrives at the end of a deep chain.
@@ -119,7 +119,7 @@ class NodeQueue {
     }
     Node node = std::move(heap_[best]);
     heap_.erase(heap_.begin() + static_cast<std::ptrdiff_t>(best));
-    std::make_heap(heap_.begin(), heap_.end(), lower_priority());
+    std::make_heap(heap_.begin(), heap_.end(), lower_priority);
     bounds_.erase(bounds_.find(node.bound));
     return node;
   }
@@ -134,7 +134,7 @@ class NodeQueue {
     const std::size_t before = heap_.size();
     std::erase_if(heap_, [cutoff](const Node& n) { return n.bound >= cutoff; });
     if (heap_.size() != before) {
-      std::make_heap(heap_.begin(), heap_.end(), lower_priority());
+      std::make_heap(heap_.begin(), heap_.end(), lower_priority);
       bounds_.clear();
       for (const Node& n : heap_) {
         bounds_.insert(n.bound);
@@ -143,7 +143,6 @@ class NodeQueue {
   }
 
  private:
-  NodeSelection selection_;
   std::vector<Node> heap_;
   std::multiset<double> bounds_;
 };
@@ -470,7 +469,7 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     return child;
   };
 
-  for (int round = 0; round <= opts.cut_rounds_per_node; ++round) {
+  for (int round = 0; round <= kCutRoundsPerNode; ++round) {
     const lp::LpProblem master =
         build_master_lp(model, pool, curvature, node.lower, node.upper,
                         &r.cuts, opts.warm_start_lp ? &keys : nullptr);
@@ -535,7 +534,7 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
 
     // Branch on SOS violation first (when enabled).
     if (opts.use_sos_branching) {
-      const std::ptrdiff_t s = violated_sos(model, sol.x, opts.integer_tol);
+      const std::ptrdiff_t s = violated_sos(model, sol.x, kIntegerTol);
       if (s >= 0) {
         const Sos1Set& set = model.sos1_sets()[static_cast<std::size_t>(s)];
         double position = 0.0;
@@ -571,7 +570,7 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     }
 
     // Then on fractional integer variables.
-    const Fractionality frac = most_fractional(model, sol.x, opts.integer_tol);
+    const Fractionality frac = most_fractional(model, sol.x, kIntegerTol);
     if (frac.var >= 0) {
       const auto j = static_cast<std::size_t>(frac.var);
       Node down = clone_box();
@@ -616,7 +615,7 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
         }
       }
     }
-    if (added_cut && round < opts.cut_rounds_per_node) {
+    if (added_cut && round < kCutRoundsPerNode) {
       continue;  // re-solve this node against the tightened master
     }
 
@@ -689,31 +688,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
 
 }  // namespace
 
-std::string SolverEvent::to_line() const {
-  std::ostringstream os;
-  switch (kind) {
-    case Kind::kPresolve:
-      os << "presolve: " << presolve_tightenings << " bounds tightened in "
-         << presolve_rounds << " rounds";
-      break;
-    case Kind::kProgress:
-      os << "node " << node << ": open " << open_nodes << ", incumbent "
-         << (have_incumbent ? std::to_string(incumbent)
-                            : std::string("none"));
-      break;
-    case Kind::kIncumbent:
-      os << "incumbent " << incumbent << " at node " << node;
-      break;
-    case Kind::kDone:
-      os << "done: " << node << " nodes, " << lp_solves << " LPs, "
-         << cuts_added << " cuts, "
-         << (have_incumbent ? "objective " + std::to_string(incumbent)
-                            : std::string("no incumbent"));
-      break;
-  }
-  return os.str();
-}
-
 const char* to_string(MinlpStatus status) {
   switch (status) {
     case MinlpStatus::kOptimal:
@@ -736,16 +710,8 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
   const SolveMetrics metrics(obs::current_metrics());
   MinlpResult out;
   SolveStats& stats = out.stats;
-  const bool want_events =
-      static_cast<bool>(opts.event_sink) || static_cast<bool>(opts.logger);
-  const auto emit = [&opts](const SolverEvent& event) {
-    if (opts.event_sink) {
-      opts.event_sink(event);
-    }
-    if (opts.logger) {
-      opts.logger(event.to_line());
-    }
-  };
+  const bool want_events = static_cast<bool>(opts.event_sink);
+  const auto& emit = opts.event_sink;
 
   const std::size_t n = model.num_vars();
   HSLB_REQUIRE(n > 0, "cannot solve an empty model");
@@ -786,14 +752,14 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
     const UnivariateLink& link = model.links()[li];
     for (const double p :
          seed_points(root_lower[link.n_var], root_upper[link.n_var],
-                     opts.initial_tangents_per_link)) {
+                     kInitialTangentsPerLink)) {
       if (pool.add_link_tangent(model, curvature, li, p, root_cut_seq)) {
         ++root_cut_seq;
         ++stats.cuts_added;
       }
     }
   }
-  if (opts.use_root_nlp) {
+  {
     HSLB_SPAN("minlp.root_nlp");
     if (const auto x_nlp = solve_root_nlp(model, stats)) {
       for (std::size_t li = 0; li < model.links().size(); ++li) {
@@ -828,7 +794,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
   }
   std::uint64_t next_node_id = 1;
 
-  NodeQueue queue(opts.node_selection);
+  NodeQueue queue;
   queue.push(std::move(root));
 
   bool have_incumbent = false;
@@ -906,7 +872,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
         {epoch_batch, queue.size(),
          static_cast<std::size_t>(opts.max_nodes - stats.nodes_explored)});
     batch.clear();
-    // Half the batch follows the configured selection (advancing the bound),
+    // Half the batch pops best-bound (advancing the bound),
     // half dives to the deepest open nodes (hunting the incumbent whose
     // cutoff prunes the frontier).  Pure best-bound batches were measured to
     // inflate the tree several-fold: the incumbent sits at the end of a deep
@@ -1092,7 +1058,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
     if (metrics.epoch_ms != nullptr) {
       metrics.epoch_ms->observe(epoch_timer.milliseconds());
     }
-    pool.age_to(opts.max_pool_cuts);
+    pool.age_to(kMaxPoolCuts);
   }
 
   stats.wall_seconds = timer.seconds();

@@ -24,6 +24,9 @@ namespace {
 
 using linalg::Vector;
 
+/// Integrality tolerance for the branching decision.
+constexpr double kIntegerTol = 1e-6;
+
 struct Node {
   Vector lower;
   Vector upper;
@@ -109,7 +112,7 @@ NodeResult process_node(const Model& model, const NlpBbOptions& opts,
 
   // Most fractional integer variable.
   std::ptrdiff_t branch_var = -1;
-  double worst_frac = opts.integer_tol;
+  double worst_frac = kIntegerTol;
   for (std::size_t j = 0; j < n; ++j) {
     if (model.variables()[j].type == VarType::kContinuous) {
       continue;

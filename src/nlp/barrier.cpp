@@ -14,6 +14,11 @@ using linalg::Matrix;
 using linalg::Vector;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Centering parameter (mu shrink per step).
+constexpr double kSigma = 0.2;
+/// KKT residual tolerance (scaled).
+constexpr double kResidualTol = 1e-7;
+constexpr int kMaxIterations = 300;
 
 /// One inequality row of the folded system (user constraint or box side).
 struct Inequality {
@@ -86,17 +91,17 @@ class PrimalDualSolver {
 
     double mu = dot_gap(st);
     int iter = 0;
-    for (; iter < opts_.max_iterations; ++iter) {
+    for (; iter < kMaxIterations; ++iter) {
       const KktResiduals res = residuals(st);
       const double f_scale =
           1.0 + linalg::norm_inf(objective_gradient(st.x));
-      if (res.norm() <= opts_.residual_tol * f_scale &&
+      if (res.norm() <= kResidualTol * f_scale &&
           res.gap <= std::max(opts_.gap_tol, 1e-11 * f_scale)) {
         out.status = NlpStatus::kOptimal;
         break;
       }
 
-      mu = std::max(opts_.sigma * dot_gap(st), 0.1 * opts_.gap_tol);
+      mu = std::max(kSigma * dot_gap(st), 0.1 * opts_.gap_tol);
 
       // Assemble and solve the condensed Newton system:
       //   (W + J^T S^{-1} Z J) dx = -(r_d + J^T S^{-1} (Z r_p - r_c))
@@ -257,9 +262,9 @@ class PrimalDualSolver {
     // Plain Newton with backtracking; only used when there are neither
     // constraints nor finite bounds.
     NlpResult out;
-    for (int it = 0; it < opts_.max_iterations; ++it) {
+    for (int it = 0; it < kMaxIterations; ++it) {
       const auto f = expr::eval_hess(p_.objective, x, n_);
-      if (linalg::norm_inf(f.grad) < opts_.residual_tol) {
+      if (linalg::norm_inf(f.grad) < kResidualTol) {
         break;
       }
       const auto chol = linalg::CholeskyFactor::compute(f.hess);

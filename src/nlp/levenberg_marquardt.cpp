@@ -13,6 +13,16 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
+constexpr int kMaxIterations = 200;
+/// Stop when ||J^T r||_inf falls below this.
+constexpr double kGradientTol = 1e-10;
+/// Stop when the step is negligible.
+constexpr double kStepTol = 1e-12;
+/// Initial damping.
+constexpr double kInitialLambda = 1e-3;
+/// Reweighting rounds for kHuber.
+constexpr int kIrlsRounds = 5;
+
 Vector clamp_to_box(std::span<const double> x, std::span<const double> lo,
                     std::span<const double> up) {
   Vector out(x.begin(), x.end());
@@ -66,8 +76,7 @@ LmResult minimize_lm_core(const ResidualFn& fn,
                           std::span<const double> theta0,
                           std::span<const double> lower,
                           std::span<const double> upper,
-                          std::size_t num_residuals,
-                          const LmOptions& options) {
+                          std::size_t num_residuals) {
   const std::size_t n = theta0.size();
   HSLB_REQUIRE(lower.size() == n && upper.size() == n,
                "LM bound sizes must match parameter count");
@@ -109,9 +118,9 @@ LmResult minimize_lm_core(const ResidualFn& fn,
   }
   out.cost = 0.5 * linalg::dot(r, r);
 
-  double lambda = options.initial_lambda;
+  double lambda = kInitialLambda;
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     out.iterations = iter + 1;
     if (c_iterations != nullptr) {
       c_iterations->add(1.0);
@@ -124,7 +133,7 @@ LmResult minimize_lm_core(const ResidualFn& fn,
     }
 
     const Vector grad = linalg::matvec_t(jac, r);  // J^T r
-    if (linalg::norm_inf(grad) < options.gradient_tol) {
+    if (linalg::norm_inf(grad) < kGradientTol) {
       out.converged = true;
       break;
     }
@@ -157,7 +166,7 @@ LmResult minimize_lm_core(const ResidualFn& fn,
 
       Vector step = linalg::subtract(trial, out.theta);
       if (linalg::norm2(step) <
-          options.step_tol * (1.0 + linalg::norm2(out.theta))) {
+          kStepTol * (1.0 + linalg::norm2(out.theta))) {
         out.converged = true;
         stepped = true;
         break;
@@ -209,23 +218,20 @@ LmResult minimize_lm(const ResidualFn& fn, std::span<const double> theta0,
                      std::span<const double> upper,
                      std::size_t num_residuals, const LmOptions& options) {
   if (options.loss == LmLoss::kLeastSquares) {
-    return minimize_lm_core(fn, theta0, lower, upper, num_residuals, options);
+    return minimize_lm_core(fn, theta0, lower, upper, num_residuals);
   }
 
   // Huber via IRLS: alternate a weighted least-squares LM solve with a
   // reweighting pass.  Residuals beyond huber_delta robust-sigmas of zero
   // get weight delta/|r| (bounded influence); inliers keep weight 1.
   HSLB_REQUIRE(options.huber_delta > 0.0, "huber_delta must be positive");
-  HSLB_REQUIRE(options.irls_rounds >= 1, "need at least one IRLS round");
   obs::Registry* metrics = obs::current_metrics();
 
   Vector weights(num_residuals, 1.0);
   Vector start(theta0.begin(), theta0.end());
-  LmOptions inner = options;
-  inner.loss = LmLoss::kLeastSquares;
   LmResult out;
 
-  for (int round = 0; round < options.irls_rounds; ++round) {
+  for (int round = 0; round < kIrlsRounds; ++round) {
     if (metrics != nullptr) {
       metrics->counter("nlp.lm.irls_rounds").add(1.0);
     }
@@ -243,8 +249,7 @@ LmResult minimize_lm(const ResidualFn& fn, std::span<const double> theta0,
         }
       }
     };
-    out = minimize_lm_core(weighted, start, lower, upper, num_residuals,
-                           inner);
+    out = minimize_lm_core(weighted, start, lower, upper, num_residuals);
 
     // Reweight from the *unweighted* residuals at the new point.
     Vector r(num_residuals);

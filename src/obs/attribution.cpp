@@ -337,8 +337,10 @@ common::Table attribution_table(const Attribution& attribution) {
   table.set_align(0, common::Align::kLeft);
   for (const PercentileAttribution& pa : attribution.percentiles) {
     table.add_row();
-    table.cell("p" + std::to_string(static_cast<long long>(
-                         std::round(pa.quantile * 100.0))));
+    std::string label("p");  // appended: see src/expr/print.cpp's wrap()
+    label.append(std::to_string(
+        static_cast<long long>(std::round(pa.quantile * 100.0))));
+    table.cell(std::move(label));
     table.cell(pa.latency_ms, 3);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       table.cell(100.0 * pa.share[p], 1);

@@ -13,6 +13,14 @@
 namespace hslb::rebal {
 namespace {
 
+/// Node budget per in-loop re-solve; on exhaustion without an incumbent the
+/// loop drops to the heuristic grid-search rung.
+constexpr long kSolverMaxNodes = 50'000;
+/// Modeled cost of one rebalance, charged deterministically as this many
+/// steps of machine time at the pre-rebalance step duration (solver wall
+/// time is machine-dependent and is reported separately as timing data).
+constexpr double kRebalanceOverheadSteps = 2.0;
+
 /// FNV-1a accumulator for the replay fingerprint.
 struct Fnv {
   std::uint64_t hash = 14695981039346656037ull;
@@ -77,7 +85,7 @@ SolveOutcome solve_allocation(const scen::Scenario& scenario,
   const minlp::Model model = scen::build_scenario_model(scenario, &vars);
   minlp::SolverOptions sopts;
   sopts.threads = options.solver_threads;
-  sopts.max_nodes = options.solver_max_nodes;
+  sopts.max_nodes = kSolverMaxNodes;
   sopts.capture_warm_start = true;
   if (options.warm && warm != nullptr && !warm->empty()) {
     sopts.warm_start = warm;
@@ -182,7 +190,7 @@ HorizonResult run_horizon(const scen::Scenario& scenario,
   }
 
   ImbalanceDetector detector(options.detector);
-  std::vector<ScaleTracker> trackers(n_comp, ScaleTracker(options.tracker));
+  std::vector<ScaleTracker> trackers(n_comp);
   // Scales the current allocation was solved for; the detector measures
   // reality against these, and a rebalance re-freezes them.
   std::vector<double> frozen_scales(n_comp, 1.0);
@@ -255,7 +263,7 @@ HorizonResult run_horizon(const scen::Scenario& scenario,
     // Charge the modeled rebalance overhead whether or not the answer is
     // adopted -- the work was spent either way.
     const double overhead =
-        options.rebalance_overhead_steps * step_seconds * machine_cores /
+        kRebalanceOverheadSteps * step_seconds * machine_cores /
         3600.0;
     out.core_hours += overhead;
     out.overhead_core_hours += overhead;

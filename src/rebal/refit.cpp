@@ -6,6 +6,32 @@
 #include "hslb/common/error.hpp"
 
 namespace hslb::rebal {
+namespace {
+
+/// CUSUM per-step allowance, in sigma units.
+constexpr double kCusumK = 0.5;
+/// CUSUM decision threshold, in sigma units.
+constexpr double kCusumH = 12.0;
+/// RLS lambda for the tracker's slow-drift path.
+constexpr double kForgetting = 0.97;
+/// Recent ratios fed to the Huber re-fit.
+constexpr int kRefitWindow = 6;
+/// Huber transition point of the re-fit.
+constexpr double kHuberDelta = 1.345;
+/// Floor on the residual sigma estimate (relative units) so a noise-free
+/// stream cannot standardize rounding error into fake shifts.
+constexpr double kMinSigma = 1e-3;
+/// Samples of plain (unweighted) variance averaging before the CUSUM is
+/// trusted, at start and again after every shift reset: seeding the
+/// exponentially weighted variance from one residual would let an early
+/// small noise draw shrink sigma and standardize noise into fake shifts.
+constexpr int kVarianceWarmup = 8;
+/// Covariance after a regime shift: large enough to re-converge in a few
+/// steps, small enough that one noisy sample cannot override the Huber
+/// level the re-fit just installed.
+constexpr double kShiftCovariance = 0.5;
+
+}  // namespace
 
 RecursiveLeastSquares::RecursiveLeastSquares(std::size_t dim, double lambda,
                                              double initial_covariance)
@@ -66,20 +92,15 @@ void RecursiveLeastSquares::observe(std::span<const double> x, double y) {
   ++samples_;
 }
 
-ResidualCusum::ResidualCusum(const CusumOptions& options) : options_(options) {
-  HSLB_REQUIRE(options_.k >= 0.0 && options_.h > 0.0,
-               "CUSUM needs k >= 0 and h > 0");
-}
-
 void ResidualCusum::reset() {
   positive_ = 0.0;
   negative_ = 0.0;
 }
 
 bool ResidualCusum::observe(double z) {
-  positive_ = std::max(0.0, positive_ + z - options_.k);
-  negative_ = std::max(0.0, negative_ - z - options_.k);
-  if (positive_ > options_.h || negative_ > options_.h) {
+  positive_ = std::max(0.0, positive_ + z - kCusumK);
+  negative_ = std::max(0.0, negative_ - z - kCusumK);
+  if (positive_ > kCusumH || negative_ > kCusumH) {
     reset();
     return true;
   }
@@ -132,15 +153,10 @@ double huber_location(std::span<const double> samples, double delta) {
   return mu;
 }
 
-ScaleTracker::ScaleTracker(const ScaleTrackerOptions& options)
-    : options_(options), rls_(1, options.forgetting), cusum_(options.cusum) {
-  HSLB_REQUIRE(options_.refit_window >= 1,
-               "scale tracker needs refit_window >= 1");
-  HSLB_REQUIRE(options_.variance_warmup >= 1,
-               "scale tracker needs variance_warmup >= 1");
+ScaleTracker::ScaleTracker() : rls_(1, kForgetting) {
   const double one = 1.0;
   rls_.set_theta(std::span<const double>(&one, 1));
-  recent_.assign(static_cast<std::size_t>(options_.refit_window), 0.0);
+  recent_.assign(static_cast<std::size_t>(kRefitWindow), 0.0);
 }
 
 double ScaleTracker::scale() const { return rls_.theta()[0]; }
@@ -151,28 +167,28 @@ ScaleTracker::Update ScaleTracker::observe(double ratio) {
   const std::span<const double> x(&one, 1);
 
   recent_[static_cast<std::size_t>(next_recent_)] = ratio;
-  next_recent_ = (next_recent_ + 1) % options_.refit_window;
-  recent_filled_ = std::min(recent_filled_ + 1, options_.refit_window);
+  next_recent_ = (next_recent_ + 1) % kRefitWindow;
+  recent_filled_ = std::min(recent_filled_ + 1, kRefitWindow);
 
   const double residual = ratio - rls_.predict(x);
   // Residual variance: plain averaging through the burn-in (so one early
   // small draw cannot shrink sigma), then exponentially weighted with the
   // RLS memory; floored so a clean stream cannot standardize numerical
   // dust into shifts.
-  if (var_samples_ < options_.variance_warmup) {
+  if (var_samples_ < kVarianceWarmup) {
     residual_var_ += (residual * residual - residual_var_) /
                      static_cast<double>(var_samples_ + 1);
   } else {
-    const double beta = options_.forgetting;
+    const double beta = kForgetting;
     residual_var_ =
         beta * residual_var_ + (1.0 - beta) * residual * residual;
   }
   ++var_samples_;
   const double sigma =
-      std::max(std::sqrt(residual_var_), options_.min_sigma);
+      std::max(std::sqrt(residual_var_), kMinSigma);
 
   // The CUSUM only runs on a burnt-in sigma estimate.
-  const bool warm = var_samples_ > options_.variance_warmup;
+  const bool warm = var_samples_ > kVarianceWarmup;
   if (warm && cusum_.observe(residual / sigma)) {
     // Regime shift: re-estimate the level from the recent window with the
     // bounded-influence Huber location, then let RLS re-converge fast.
@@ -181,9 +197,9 @@ ScaleTracker::Update ScaleTracker::observe(double ratio) {
     const double level = huber_location(
         std::span<const double>(recent_.data(),
                                 static_cast<std::size_t>(recent_filled_)),
-        options_.huber_delta);
+        kHuberDelta);
     rls_.set_theta(std::span<const double>(&level, 1));
-    rls_.reset_covariance(options_.shift_covariance);
+    rls_.reset_covariance(kShiftCovariance);
     // The regime's noise level changed with its mean: re-burn-in the
     // variance so the next few post-shift residuals set the new sigma.
     residual_var_ = 0.0;

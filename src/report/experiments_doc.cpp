@@ -380,9 +380,15 @@ std::string render_experiments(
       min3 = std::min(min3, worse3);
       max3 = std::max(max3, worse3);
       max2 = std::max(max2, worse2);
+      // Appended, not `"+" + f(...)`: GCC 12 at -O3 misreports that
+      // concatenation under -Wrestrict.
+      const auto plus_pct = [](double v) {
+        std::string s("+");
+        s.append(f(v, 0)).append(" %");
+        return s;
+      };
       table.row({std::to_string(total), f(l1, 0) + " s", f(l2, 0) + " s",
-                 f(l3, 0) + " s", "+" + f(worse3, 0) + " %",
-                 "+" + f(worse2, 0) + " %"});
+                 f(l3, 0) + " s", plus_pct(worse3), plus_pct(worse2)});
     }
     out += table.str();
     out += "\nLayout 3 is " + f(min3, 0) + "–" + f(max3, 0) +

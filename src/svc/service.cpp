@@ -32,6 +32,25 @@ SolveOutcome fail(ErrorCode code, std::string message,
       Error{code, std::move(message), std::move(phase)});
 }
 
+/// The pipeline configuration a CESM-case request solves under.
+core::PipelineConfig pipeline_config(const AllocationRequest& request,
+                                     const cesm::CaseConfig& case_config) {
+  core::PipelineConfig config;
+  config.case_config = case_config;
+  config.layout = request.layout;
+  config.objective = request.objective;
+  config.total_nodes = request.total_nodes;
+  config.tsync = request.tsync;
+  config.constrain_atm = request.constrain_atm;
+  config.constrain_ocean = request.constrain_ocean;
+  config.use_sos = request.use_sos;
+  config.fit_options = request.fit_options;
+  config.solver.max_wall_seconds = request.max_wall_seconds;
+  config.solver.max_nodes = request.max_nodes;
+  config.solver.threads = request.solver_threads;
+  return config;
+}
+
 }  // namespace
 
 AllocationService::AllocationService(ServiceConfig config)
@@ -66,10 +85,8 @@ AllocationService::AllocationService(ServiceConfig config)
   }
   HSLB_REQUIRE(!config_.admission.enabled || admission_ != nullptr,
                "adaptive admission needs obs.metrics (its p99 source)");
-  if (config_.register_builtin_cases) {
-    register_case("1deg", cesm::one_degree_case());
-    register_case("eighth", cesm::eighth_degree_case());
-  }
+  register_case("1deg", cesm::one_degree_case());
+  register_case("eighth", cesm::eighth_degree_case());
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -619,31 +636,10 @@ SolveOutcome AllocationService::heuristic_serve(const Job& job) {
                 "no case registered under '" + job.request.case_name + "'",
                 "ladder");
   }
-  // Mirror the pipeline's spec assembly (run_hslb_from_fits + solve_step's
-  // allowed-set and auto-tsync rules) so the grid search answers the same
+  // The pipeline's own spec assembly, so the grid search answers the same
   // question the solver would have.
-  core::LayoutModelSpec spec;
-  spec.layout = job.request.layout;
-  spec.total_nodes = job.request.total_nodes;
-  spec.objective = job.request.objective;
-  spec.use_sos = job.request.use_sos;
-  spec.min_nodes = case_config->min_nodes;
-  for (const cesm::ComponentKind kind : cesm::kModeledComponents) {
-    spec.perf[kind] = job.request.fits.at(kind);  // validated at submit
-  }
-  if (job.request.constrain_atm) {
-    spec.atm_allowed = case_config->atm_allowed;
-  }
-  if (job.request.constrain_ocean) {
-    spec.ocn_allowed = case_config->ocn_allowed;
-  }
-  double tsync = job.request.tsync;
-  if (tsync < 0.0) {
-    const double ref = spec.perf.at(cesm::ComponentKind::kIce)(
-        std::max(1.0, job.request.total_nodes / 2.0));
-    tsync = std::max(1.0, 0.25 * ref);
-  }
-  spec.tsync = tsync;
+  const core::LayoutModelSpec spec = core::layout_spec(
+      pipeline_config(job.request, *case_config), job.request.fits);
 
   AllocationResponse response;
   try {
@@ -653,7 +649,7 @@ SolveOutcome AllocationService::heuristic_serve(const Job& job) {
                 std::string("heuristic fallback failed: ") + e.what(),
                 "ladder");
   }
-  response.tsync_used = tsync;
+  response.tsync_used = spec.tsync;
   response.nodes_explored = 0;
   response.degraded = true;
   response.served = ServeLevel::kHeuristic;
@@ -787,20 +783,8 @@ SolveOutcome AllocationService::execute(const Job& job) {
     span.arg("total_nodes", static_cast<long long>(job.request.total_nodes));
   }
 
-  core::PipelineConfig config;
-  config.case_config = *case_config;
-  config.layout = job.request.layout;
-  config.objective = job.request.objective;
-  config.total_nodes = job.request.total_nodes;
-  config.tsync = job.request.tsync;
-  config.constrain_atm = job.request.constrain_atm;
-  config.constrain_ocean = job.request.constrain_ocean;
-  config.use_sos = job.request.use_sos;
-  config.fit_options = job.request.fit_options;
-  config.solver.max_wall_seconds = job.request.max_wall_seconds;
-  config.solver.max_nodes = job.request.max_nodes;
-  config.solver.threads = job.request.solver_threads;
-
+  const core::PipelineConfig config =
+      pipeline_config(job.request, *case_config);
   core::HslbResult result;
   try {
     if (!job.request.fits.empty()) {

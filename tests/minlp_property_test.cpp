@@ -106,18 +106,10 @@ TEST_P(MinlpSolverAgreementProperty, AllSolversAgree) {
   const auto r_oa = solve(m1);
 
   Model m2 = build(inst);
-  SolverOptions dfs;
-  dfs.node_selection = NodeSelection::kDepthFirst;
-  dfs.use_root_nlp = false;
-  const auto r_dfs = solve(m2, dfs);
-
-  Model m3 = build(inst);
-  const auto r_nlpbb = solve_nlp_bb(m3);
+  const auto r_nlpbb = solve_nlp_bb(m2);
 
   ASSERT_EQ(r_oa.status, MinlpStatus::kOptimal);
-  ASSERT_EQ(r_dfs.status, MinlpStatus::kOptimal);
   ASSERT_EQ(r_nlpbb.status, MinlpStatus::kOptimal);
-  EXPECT_NEAR(r_dfs.objective, r_oa.objective, 1e-5 * (1.0 + r_oa.objective));
   EXPECT_NEAR(r_nlpbb.objective, r_oa.objective,
               1e-4 * (1.0 + r_oa.objective));
 }

@@ -233,18 +233,6 @@ TEST(BranchAndBound, TwoLinksCoupledByBudget) {
   EXPECT_NEAR(r.objective, 100.0 / 14.0 + 7.0, 1e-6);
 }
 
-TEST(BranchAndBound, DepthFirstMatchesBestBound) {
-  TinyModel tm1 = tiny_model(1, 100);
-  SolverOptions dfs;
-  dfs.node_selection = NodeSelection::kDepthFirst;
-  const auto r1 = solve(tm1.model, dfs);
-  TinyModel tm2 = tiny_model(1, 100);
-  const auto r2 = solve(tm2.model);
-  ASSERT_EQ(r1.status, MinlpStatus::kOptimal);
-  ASSERT_EQ(r2.status, MinlpStatus::kOptimal);
-  EXPECT_NEAR(r1.objective, r2.objective, 1e-9);
-}
-
 TEST(BranchAndBound, StatsArePopulated) {
   TinyModel tm = tiny_model(1, 100);
   const auto r = solve(tm.model);
@@ -253,28 +241,6 @@ TEST(BranchAndBound, StatsArePopulated) {
   EXPECT_GT(r.stats.cuts_added, 0);
   EXPECT_GE(r.stats.wall_seconds, 0.0);
   EXPECT_LE(r.stats.best_bound, r.objective + 1e-6);
-}
-
-TEST(BranchAndBound, LoggerReceivesProgress) {
-  TinyModel tm = tiny_model(1, 100);
-  std::vector<std::string> lines;
-  SolverOptions opts;
-  opts.logger = [&lines](const std::string& line) { lines.push_back(line); };
-  opts.log_every_nodes = 1;
-  const auto r = solve(tm.model, opts);
-  ASSERT_EQ(r.status, MinlpStatus::kOptimal);
-  ASSERT_FALSE(lines.empty());
-  bool saw_presolve = false;
-  bool saw_incumbent = false;
-  bool saw_done = false;
-  for (const std::string& line : lines) {
-    saw_presolve |= line.rfind("presolve:", 0) == 0;
-    saw_incumbent |= line.rfind("incumbent", 0) == 0;
-    saw_done |= line.rfind("done:", 0) == 0;
-  }
-  EXPECT_TRUE(saw_presolve);
-  EXPECT_TRUE(saw_incumbent);
-  EXPECT_TRUE(saw_done);
 }
 
 TEST(BranchAndBound, EventSinkEmitsStructuredEvents) {
@@ -287,6 +253,11 @@ TEST(BranchAndBound, EventSinkEmitsStructuredEvents) {
   ASSERT_EQ(r.status, MinlpStatus::kOptimal);
   ASSERT_FALSE(events.empty());
 
+  // The presolve summary comes first.
+  EXPECT_EQ(events.front().kind, SolverEvent::Kind::kPresolve);
+  EXPECT_EQ(events.front().presolve_tightenings,
+            r.stats.presolve_tightenings);
+
   // The last event is the final summary and matches the returned stats.
   const SolverEvent& done = events.back();
   EXPECT_EQ(done.kind, SolverEvent::Kind::kDone);
@@ -295,7 +266,8 @@ TEST(BranchAndBound, EventSinkEmitsStructuredEvents) {
   EXPECT_TRUE(done.have_incumbent);
   EXPECT_NEAR(done.incumbent, r.objective, 1e-9);
 
-  // Every incumbent event improves on the previous one.
+  // Every incumbent event improves on the previous one, and the last one
+  // is the returned optimum.
   double last_incumbent = lp::kInf;
   for (const SolverEvent& e : events) {
     if (e.kind == SolverEvent::Kind::kIncumbent) {
@@ -303,6 +275,7 @@ TEST(BranchAndBound, EventSinkEmitsStructuredEvents) {
       last_incumbent = e.incumbent;
     }
   }
+  EXPECT_NEAR(last_incumbent, r.objective, 1e-9);
 }
 
 // Regression: the first progress heartbeat fires at node 1 (not node 0, and
@@ -341,20 +314,6 @@ TEST(BranchAndBound, ProgressCadenceRespectsLogEveryNodes) {
       EXPECT_GE(e.node, 1);
     }
   }
-}
-
-TEST(BranchAndBound, LegacyLoggerMatchesEventToLine) {
-  TinyModel tm1 = tiny_model(1, 100);
-  std::vector<std::string> lines;
-  std::vector<std::string> rendered;
-  SolverOptions opts;
-  opts.logger = [&lines](const std::string& line) { lines.push_back(line); };
-  opts.event_sink = [&rendered](const SolverEvent& e) {
-    rendered.push_back(e.to_line());
-  };
-  opts.log_every_nodes = 1;
-  (void)solve(tm1.model, opts);
-  EXPECT_EQ(lines, rendered);
 }
 
 TEST(BranchAndBound, PruneStatsAndLpTimeArePopulated) {

@@ -274,8 +274,7 @@ TEST(Refit, HuberLocationResistsOutliers) {
 }
 
 TEST(Refit, ScaleTrackerFollowsSlowDriftAndJumpsOnShift) {
-  ScaleTrackerOptions options;
-  ScaleTracker tracker(options);
+  ScaleTracker tracker;
   common::Rng rng(13);
   long shift_flags = 0;
   // Slow drift, small against the noise floor (lag ~rate/(1-lambda) is a

@@ -58,7 +58,9 @@ std::map<std::string, std::string> parse_flags(
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        flags[arg.substr(2)] = "1";
+        // A std::string, not the literal: GCC 12 at -O3 misreports the
+        // inlined assign(const char*) under -Wrestrict.
+        flags[arg.substr(2)] = std::string("1");
       } else {
         flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

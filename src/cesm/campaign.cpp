@@ -226,14 +226,9 @@ CampaignResult gather_benchmarks(const CaseConfig& config, LayoutKind kind,
   const std::vector<std::uint64_t> run_seeds =
       make_run_seeds(totals.size(), seed);
 
-  // The obs context is thread-local: capture the caller's and re-install it
-  // on each OpenMP worker so benchmark spans/counters keep flowing.
-  const obs::Options obs_context = obs::current_context();
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t i = 0;
-       i < static_cast<std::ptrdiff_t>(totals.size()); ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const obs::Install install(obs_context);
+  // Serial: a simulated run takes well under a millisecond, less than a
+  // thread team costs to wake.
+  for (std::size_t idx = 0; idx < totals.size(); ++idx) {
     obs::ScopedSpan span("cesm.gather.benchmark");
     if (span.active()) {
       span.arg("total_nodes", static_cast<long long>(totals[idx]));
@@ -269,12 +264,7 @@ CampaignResult gather_benchmarks(const CaseConfig& config, LayoutKind kind,
       make_run_seeds(totals.size(), seed);
   std::vector<FaultedRun> outcomes(totals.size());
 
-  const obs::Options obs_context = obs::current_context();
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t i = 0;
-       i < static_cast<std::ptrdiff_t>(totals.size()); ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const obs::Install install(obs_context);
+  for (std::size_t idx = 0; idx < totals.size(); ++idx) {
     obs::ScopedSpan span("cesm.gather.benchmark");
     if (span.active()) {
       span.arg("total_nodes", static_cast<long long>(totals[idx]));

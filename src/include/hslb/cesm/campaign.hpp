@@ -96,8 +96,8 @@ int snap_nearest(const std::vector<int>& allowed, int target);
 Layout reference_layout(const CaseConfig& config, LayoutKind kind, int total);
 
 /// Run the campaign at each total in `totals`.  Runs are independent and
-/// execute in parallel (OpenMP) when available; results are deterministic
-/// in (config, totals, seed) regardless of thread count.
+/// execute serially, in order; results are deterministic in
+/// (config, totals, seed).
 CampaignResult gather_benchmarks(const CaseConfig& config, LayoutKind kind,
                                  std::span<const int> totals,
                                  std::uint64_t seed);

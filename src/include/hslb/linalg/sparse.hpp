@@ -49,7 +49,7 @@ class SparseColumns {
   }
 
   /// Append an entry to the column currently under construction.  Zeros are
-  /// skipped so callers can feed dense rows without pre-filtering.
+  /// skipped so callers need not pre-filter.
   void add_entry(int row, double value) {
     if (value != 0.0) {
       index_.push_back(row);

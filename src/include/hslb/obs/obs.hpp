@@ -6,7 +6,7 @@
 // per worker thread -- each see only their own sinks, and nested installs
 // restore correctly without cross-thread races.  Code that fans work out to
 // other threads captures obs::current_context() and re-installs it on the
-// worker (see the OpenMP campaign loops).  When nothing is installed every
+// worker (see minlp::WorkerPool).  When nothing is installed every
 // instrumentation point degenerates to a thread-local load and a not-taken
 // branch; defining HSLB_OBS_DISABLE at compile time removes the macros
 // entirely.
@@ -32,9 +32,9 @@ namespace hslb::obs {
 ///
 /// `parent_span` carries the span-nesting context across threads: when a
 /// captured context is Installed on another thread, spans opened there nest
-/// under the span that was open at capture time (the OpenMP campaign loops
-/// and the solver worker pool both rely on this; the allocation service
-/// sets it explicitly so solver epochs nest under the owning request span).
+/// under the span that was open at capture time (the solver worker pool
+/// relies on this; the allocation service sets it explicitly so solver
+/// epochs nest under the owning request span).
 /// 0 means "leave the thread's current nesting as is".
 struct Options {
   TraceSession* trace = nullptr;

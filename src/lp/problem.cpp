@@ -1,33 +1,46 @@
 #include "hslb/lp/problem.hpp"
 
+#include <algorithm>
+
 #include "hslb/common/error.hpp"
 
 namespace hslb::lp {
 
-std::size_t LpProblem::add_variable(double lower, double upper, double cost,
-                                    std::string name) {
+std::size_t LpProblem::add_variable(double lower, double upper, double cost) {
   HSLB_REQUIRE(lower <= upper, "variable bounds crossed");
   HSLB_REQUIRE(rows_.empty(), "add all variables before adding rows");
   cost_.push_back(cost);
   col_lower_.push_back(lower);
   col_upper_.push_back(upper);
-  if (name.empty()) {
-    // Appended to a fresh string, not `"x" + ...` or assign(): GCC 12 at -O3
-    // misreports both under -Wrestrict.
-    std::string fallback("x");
-    fallback.append(std::to_string(cost_.size() - 1));
-    name = std::move(fallback);
-  }
-  names_.push_back(std::move(name));
   return cost_.size() - 1;
 }
 
-std::size_t LpProblem::add_row(linalg::Vector coeffs, double lower,
-                               double upper, std::string name) {
-  HSLB_REQUIRE(coeffs.size() == num_vars(),
-               "row coefficient count must equal variable count");
+std::size_t LpProblem::add_row(std::vector<Term> terms, double lower,
+                               double upper) {
   HSLB_REQUIRE(lower <= upper, "row bounds crossed");
-  rows_.push_back(Row{std::move(coeffs), lower, upper, std::move(name)});
+  for (const Term& term : terms) {
+    HSLB_REQUIRE(term.first < num_vars(), "row term column out of range");
+  }
+  const auto by_column = [](const Term& a, const Term& b) {
+    return a.first < b.first;
+  };
+  // Stable, so duplicate columns keep their input order for the sum below.
+  if (!std::is_sorted(terms.begin(), terms.end(), by_column)) {
+    std::stable_sort(terms.begin(), terms.end(), by_column);
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < terms.size();) {
+    const std::size_t col = terms[k].first;
+    double sum = 0.0;
+    for (; k < terms.size() && terms[k].first == col; ++k) {
+      sum += terms[k].second;
+    }
+    if (sum != 0.0) {
+      terms[kept++] = Term{col, sum};
+    }
+  }
+  terms.resize(kept);
+  rows_.push_back(Row{std::move(terms), lower, upper});
   return rows_.size() - 1;
 }
 

@@ -35,6 +35,7 @@
 #include "hslb/lp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -113,15 +114,21 @@ enum class WarmMode {
   kDualRepair,  ///< warm basis repaired by dual pivots; Phase I skipped
 };
 
-/// FNV-1a over a row's coefficient bytes: the signature that lets factor
-/// adoption detect a row whose key survived but whose coefficients changed
-/// (chord rows are rebuilt against the node's bounds under a stable key).
-std::uint64_t row_signature(std::span<const double> coeffs) {
-  const auto* p = reinterpret_cast<const unsigned char*>(coeffs.data());
+/// FNV-1a over the bytes of a row's (column, coefficient bits) nonzero
+/// terms: the signature that lets factor adoption detect a row whose key
+/// survived but whose coefficients changed (chord rows are rebuilt against
+/// the node's bounds under a stable key) or moved to another column.
+std::uint64_t row_signature(std::span<const Term> terms) {
   std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < coeffs.size() * sizeof(double); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& [col, value] : terms) {
+    mix(static_cast<std::uint64_t>(col));
+    mix(std::bit_cast<std::uint64_t>(value));
   }
   return h;
 }
@@ -135,6 +142,15 @@ class DenseSimplex {
     n_ = problem.num_vars();
     m_ = problem.num_rows();
     total_ = n_ + 2 * m_;  // structural | slack | artificial
+
+    // The structural block of [A | -I | G], expanded once from the sparse
+    // rows; every later read goes through coeff().
+    a_ = Matrix(m_, n_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      for (const auto& [col, value] : problem.rows()[i].terms) {
+        a_(i, col) = value;
+      }
+    }
 
     lower_.assign(total_, -kInf);
     upper_.assign(total_, kInf);
@@ -241,7 +257,7 @@ class DenseSimplex {
   /// Coefficient of column j in row i of [A | -I | G].
   double coeff(std::size_t i, std::size_t j) const {
     if (j < n_) {
-      return problem_.rows()[i].coeffs[j];
+      return a_(i, j);
     }
     if (j < n_ + m_) {
       return j - n_ == i ? -1.0 : 0.0;
@@ -280,7 +296,7 @@ class DenseSimplex {
       // Row residual with artificial at zero: sum over structural + slack.
       double v = 0.0;
       for (std::size_t j = 0; j < n_; ++j) {
-        v += problem_.rows()[i].coeffs[j] * value_[j];
+        v += a_(i, j) * value_[j];
       }
       v -= value_[n_ + i];  // slack column is -1
       // Need v + g * t = 0 with t >= 0  =>  g = -sign(v), t = |v|.
@@ -788,6 +804,7 @@ class DenseSimplex {
   std::size_t n_ = 0;      // structural columns
   std::size_t m_ = 0;      // rows (== slack count == artificial count)
   std::size_t total_ = 0;  // n + 2m
+  Matrix a_;               // structural coefficients, dense
   Vector lower_, upper_, value_;
   Vector art_sign_;
   std::vector<VarStatus> status_;
@@ -1095,6 +1112,10 @@ struct LpWorkspace {
   std::vector<std::size_t> basis;
   Vector art_sign;
   SparseColumns csc;         // structural columns of the current problem
+  std::vector<int> col_next;   // CSC build: per-column fill cursor
+  std::vector<int> row_of;     // CSC build: row index per entry
+  Vector value_of;             // CSC build: value per entry
+  std::vector<int> basis_pos;  // factor adoption: column -> basis position
   SparseColumns basis_cols;  // basis columns fed to the factorization
   MaintainedFactor factor;
 };
@@ -1134,27 +1155,15 @@ class SparseSimplex {
     ws_.art_sign.assign(m_, 1.0);
     ws_.status.assign(total_, VarStatus::kAtLower);
     ws_.value.assign(total_, 0.0);
-    for (std::size_t j = 0; j < total_; ++j) {
-      init_nonbasic(j);
-    }
-    init_basis();
-
-    // CSC of the structural columns, built once per solve.  Slack and
-    // artificial columns are singletons and stay implicit, so the pricing
-    // loop and the basis-column gather handle them inline (and an
-    // art_sign flip never invalidates this matrix).
-    ws_.csc.reset(static_cast<int>(m_));
-    for (std::size_t j = 0; j < n_; ++j) {
-      for (std::size_t i = 0; i < m_; ++i) {
-        ws_.csc.add_entry(static_cast<int>(i), problem.rows()[i].coeffs[j]);
-      }
-      ws_.csc.finish_column();
-    }
-
     ws_.y.assign(m_, 0.0);
     ws_.w.assign(m_, 0.0);
     ws_.rhs.assign(m_, 0.0);
     ws_.cb.assign(m_, 0.0);
+    build_csc();
+    for (std::size_t j = 0; j < total_; ++j) {
+      init_nonbasic(j);
+    }
+    init_basis();
   }
 
   LpSolution run(const Basis* warm, const WarmFactor* wf) {
@@ -1254,16 +1263,42 @@ class SparseSimplex {
     out.update_seconds = update_seconds_;
   }
 
-  /// Coefficient of column j in row i of [A | -I | G] (validation paths
-  /// only; the hot loops go through the CSC / singleton structure).
-  double coeff(std::size_t i, std::size_t j) const {
-    if (j < n_) {
-      return problem_.rows()[i].coeffs[j];
+  /// CSC of the structural columns, built once per solve by transposing
+  /// the sparse rows (a counting sort over columns, rows visited in
+  /// ascending order, so entries within a column stay in ascending row
+  /// order).  Slack and artificial columns are singletons and stay
+  /// implicit, so the pricing loop and the basis-column gather handle them
+  /// inline (and an art_sign flip never invalidates this matrix).
+  void build_csc() {
+    std::vector<int>& next = ws_.col_next;
+    next.assign(n_ + 1, 0);
+    for (const Row& row : problem_.rows()) {
+      for (const Term& term : row.terms) {
+        ++next[term.first + 1];
+      }
     }
-    if (j < n_ + m_) {
-      return j - n_ == i ? -1.0 : 0.0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      next[j + 1] += next[j];
     }
-    return j - n_ - m_ == i ? ws_.art_sign[i] : 0.0;
+    const auto nnz = static_cast<std::size_t>(next[n_]);
+    ws_.row_of.resize(nnz);
+    ws_.value_of.resize(nnz);
+    for (std::size_t i = 0; i < m_; ++i) {
+      for (const auto& [col, value] : problem_.rows()[i].terms) {
+        const auto k = static_cast<std::size_t>(next[col]++);
+        ws_.row_of[k] = static_cast<int>(i);
+        ws_.value_of[k] = value;
+      }
+    }
+    // next[j] now ends column j, i.e. starts column j + 1.
+    ws_.csc.reset(static_cast<int>(m_));
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      for (const auto end = static_cast<std::size_t>(next[j]); k < end; ++k) {
+        ws_.csc.add_entry(ws_.row_of[k], ws_.value_of[k]);
+      }
+      ws_.csc.finish_column();
+    }
   }
 
   void init_nonbasic(std::size_t j) {
@@ -1288,13 +1323,26 @@ class SparseSimplex {
     }
   }
 
+  /// Choose artificial signs so every artificial starts >= 0, and make the
+  /// artificials the initial basis.  Row residuals accumulate through the
+  /// CSC column by column, so each row's sum still runs in ascending column
+  /// order (a zero resting value adds nothing and is skipped).
   void init_basis() {
     ws_.basis.resize(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      double v = 0.0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        v += problem_.rows()[i].coeffs[j] * ws_.value[j];
+    std::fill(ws_.rhs.begin(), ws_.rhs.end(), 0.0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      const double x = ws_.value[j];
+      if (x == 0.0) {
+        continue;
       }
+      const auto idx = ws_.csc.col_index(static_cast<int>(j));
+      const auto val = ws_.csc.col_value(static_cast<int>(j));
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        ws_.rhs[static_cast<std::size_t>(idx[k])] += val[k] * x;
+      }
+    }
+    for (std::size_t i = 0; i < m_; ++i) {
+      double v = ws_.rhs[i];
       v -= ws_.value[n_ + i];  // slack column is -1
       ws_.art_sign[i] = v > 0.0 ? -1.0 : 1.0;
       const std::size_t a = n_ + m_ + i;
@@ -1461,7 +1509,7 @@ class SparseSimplex {
       if (matched[static_cast<std::size_t>(t)]) {
         return false;
       }
-      if (row_signature(problem_.rows()[static_cast<std::size_t>(t)].coeffs) !=
+      if (row_signature(problem_.rows()[static_cast<std::size_t>(t)].terms) !=
           snap.row_sigs[i]) {
         return false;
       }
@@ -1484,6 +1532,18 @@ class SparseSimplex {
         expected[static_cast<std::size_t>(id)] = 1;
       }
     }
+    // Border terms: each new row's nonzeros on the snapshot's structural
+    // basics, keyed by basis position and sorted by it, so FTRAN/BTRAN sum
+    // them in position order.  (A slack is a singleton in its own, matched,
+    // row and never appears in a border row.)
+    std::vector<int>& pos_of = ws_.basis_pos;
+    pos_of.assign(n_, -1);
+    for (std::size_t p = 0; p < pm; ++p) {
+      const std::uint64_t id = snap.basis_ids[p];
+      if (!(id & kSlackBit)) {
+        pos_of[static_cast<std::size_t>(id)] = static_cast<int>(p);
+      }
+    }
     std::vector<FactorSnapshot::BorderRow> border;
     border.reserve(m_ - pm);
     for (std::size_t t = 0; t < m_; ++t) {
@@ -1493,17 +1553,12 @@ class SparseSimplex {
       FactorSnapshot::BorderRow br;
       br.row = static_cast<int>(t);
       br.slack_coeff = -1.0;
-      const auto& coeffs = problem_.rows()[t].coeffs;
-      for (std::size_t p = 0; p < pm; ++p) {
-        const std::uint64_t id = snap.basis_ids[p];
-        if (id & kSlackBit) {
-          continue;  // a slack is a singleton in its own (matched) row
-        }
-        const double c = coeffs[static_cast<std::size_t>(id)];
-        if (c != 0.0) {
-          br.terms.emplace_back(static_cast<int>(p), c);
+      for (const auto& [col, value] : problem_.rows()[t].terms) {
+        if (pos_of[col] >= 0) {
+          br.terms.emplace_back(pos_of[col], value);
         }
       }
+      std::sort(br.terms.begin(), br.terms.end());
       expected[n_ + t] = 1;
       border.push_back(std::move(br));
     }
@@ -1772,7 +1827,7 @@ class SparseSimplex {
     }
     std::vector<std::uint64_t> sigs(m_);
     for (std::size_t i = 0; i < m_; ++i) {
-      sigs[i] = row_signature(problem_.rows()[i].coeffs);
+      sigs[i] = row_signature(problem_.rows()[i].terms);
     }
     std::vector<std::uint64_t> ids(m_);
     for (std::size_t i = 0; i < m_; ++i) {

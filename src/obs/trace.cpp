@@ -233,7 +233,7 @@ namespace {
 // (the allocation service's workers, each running a pipeline with its own
 // sinks) corrupt each other's saved "previous" pointers.  Thread-local slots
 // make Install reentrant by construction; code that fans work out to other
-// threads (the OpenMP campaign loops, the service worker pool) captures
+// threads (the solver worker pool, the service worker pool) captures
 // current_context() and re-installs it on the worker.
 thread_local TraceSession* t_trace = nullptr;
 thread_local Registry* t_metrics = nullptr;

@@ -15,6 +15,24 @@ namespace {
 
 using linalg::Vector;
 
+/// Terms of a dense coefficient row (add_row drops the zeros).
+std::vector<Term> terms_of(const Vector& dense) {
+  std::vector<Term> terms;
+  for (std::size_t j = 0; j < dense.size(); ++j) {
+    terms.emplace_back(j, dense[j]);
+  }
+  return terms;
+}
+
+/// Dense coefficient vector of a row over n columns.
+Vector dense_of(const Row& row, std::size_t n) {
+  Vector dense(n, 0.0);
+  for (const auto& [col, value] : row.terms) {
+    dense[col] = value;
+  }
+  return dense;
+}
+
 bool satisfies(const LpProblem& p, const Vector& x, double tol = 1e-6) {
   for (std::size_t j = 0; j < p.num_vars(); ++j) {
     if (x[j] < p.col_lower()[j] - tol || x[j] > p.col_upper()[j] + tol) {
@@ -23,8 +41,8 @@ bool satisfies(const LpProblem& p, const Vector& x, double tol = 1e-6) {
   }
   for (const Row& row : p.rows()) {
     double v = 0.0;
-    for (std::size_t j = 0; j < p.num_vars(); ++j) {
-      v += row.coeffs[j] * x[j];
+    for (const auto& [col, value] : row.terms) {
+      v += value * x[col];
     }
     const double scale = 1.0 + std::fabs(v);
     if (v < row.lower - tol * scale || v > row.upper + tol * scale) {
@@ -70,7 +88,7 @@ TEST_P(SimplexFeasibleProperty, OptimalBeatsSeedPoint) {
       at_seed += coeffs[j] * seed[j];
     }
     // Row passes through the seed with slack on both sides.
-    p.add_row(std::move(coeffs), at_seed - rng.uniform(0.0, 3.0),
+    p.add_row(terms_of(coeffs), at_seed - rng.uniform(0.0, 3.0),
               at_seed + rng.uniform(0.0, 3.0));
   }
 
@@ -111,7 +129,7 @@ TEST_P(SimplexBruteForce2D, MatchesVertexEnumeration) {
   }
   const int m = static_cast<int>(rng.uniform_int(1, 4));
   for (int i = 0; i < m; ++i) {
-    p.add_row({rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)},
+    p.add_row(terms_of({rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)}),
               -lp::kInf, rng.uniform(-1.0, 4.0));
   }
 
@@ -119,7 +137,7 @@ TEST_P(SimplexBruteForce2D, MatchesVertexEnumeration) {
   // bound + box edges).
   std::vector<std::pair<Vector, double>> lines;
   for (const Row& row : p.rows()) {
-    lines.push_back({row.coeffs, row.upper});
+    lines.push_back({dense_of(row, 2), row.upper});
   }
   lines.push_back({{1.0, 0.0}, p.col_lower()[0]});
   lines.push_back({{1.0, 0.0}, p.col_upper()[0]});
@@ -167,7 +185,7 @@ TEST_P(SimplexScalingProperty, CostScalingScalesObjective) {
   for (std::size_t j = 0; j < n; ++j) {
     p.add_variable(0.0, rng.uniform(1.0, 5.0), rng.uniform(-1.0, 1.0));
   }
-  p.add_row({1.0, 1.0, 1.0}, 0.5, 4.0);
+  p.add_row(terms_of({1.0, 1.0, 1.0}), 0.5, 4.0);
 
   const auto s1 = solve(p);
   ASSERT_EQ(s1.status, LpStatus::kOptimal);
@@ -208,7 +226,7 @@ LpProblem random_feasible(common::Rng& rng, Vector* seed_out = nullptr) {
       coeffs[j] = rng.uniform(-2.0, 2.0);
       at_seed += coeffs[j] * seed[j];
     }
-    p.add_row(std::move(coeffs), at_seed - rng.uniform(0.1, 3.0),
+    p.add_row(terms_of(coeffs), at_seed - rng.uniform(0.1, 3.0),
               at_seed + rng.uniform(0.1, 3.0));
   }
   if (seed_out != nullptr) {
@@ -303,8 +321,7 @@ TEST_P(SimplexWarmStartProperty, RowReorderRemapMatchesColdOptimum) {
   }
   for (std::size_t i = m; i-- > 0;) {
     const Row& row = p.rows()[i];
-    Vector coeffs = row.coeffs;
-    reordered.add_row(std::move(coeffs), row.lower, row.upper);
+    reordered.add_row(row.terms, row.lower, row.upper);
     to_keys.push_back(static_cast<std::uint64_t>(i));
   }
 
@@ -341,8 +358,7 @@ TEST_P(SimplexWarmStartProperty, AddedRowSlackEntersBasisAndSkipsPhase1) {
   std::vector<std::uint64_t> to_keys;
   for (std::size_t i = 0; i < p.rows().size(); ++i) {
     const Row& row = p.rows()[i];
-    Vector coeffs = row.coeffs;
-    grown.add_row(std::move(coeffs), row.lower, row.upper);
+    grown.add_row(row.terms, row.lower, row.upper);
     from_keys.push_back(static_cast<std::uint64_t>(i));
     to_keys.push_back(static_cast<std::uint64_t>(i));
   }
@@ -352,7 +368,7 @@ TEST_P(SimplexWarmStartProperty, AddedRowSlackEntersBasisAndSkipsPhase1) {
     cut[j] = rng.uniform(-2.0, 2.0);
     at_opt += cut[j] * cold.x[j];
   }
-  grown.add_row(std::move(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
+  grown.add_row(terms_of(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
   to_keys.push_back(1u << 20);  // a fresh key: no match in from_keys
 
   const Basis mapped = map_basis(cold.basis, from_keys, to_keys);
@@ -481,8 +497,7 @@ TEST(SimplexSparseEngine, BorderedHandoffSurvivesAddedCutRows) {
     }
     std::vector<std::uint64_t> to_keys = from_keys;
     for (const Row& row : p.rows()) {
-      Vector coeffs = row.coeffs;
-      grown.add_row(std::move(coeffs), row.lower, row.upper);
+      grown.add_row(row.terms, row.lower, row.upper);
     }
     Vector cut(p.num_vars());
     double at_opt = 0.0;
@@ -490,7 +505,7 @@ TEST(SimplexSparseEngine, BorderedHandoffSurvivesAddedCutRows) {
       cut[j] = rng.uniform(-2.0, 2.0);
       at_opt += cut[j] * cold.x[j];
     }
-    grown.add_row(std::move(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
+    grown.add_row(terms_of(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
     to_keys.push_back(1u << 20);
 
     const Basis mapped = map_basis(cold.basis, from_keys, to_keys);
@@ -505,6 +520,80 @@ TEST(SimplexSparseEngine, BorderedHandoffSurvivesAddedCutRows) {
   }
   EXPECT_GT(inherits, 0)
       << "the bordered parent->child adoption never engaged across 40 trials";
+}
+
+/// `p` with row 0 replaced by `terms` over [lower, upper].
+LpProblem with_first_row(const LpProblem& p, std::vector<Term> terms,
+                         double lower, double upper) {
+  LpProblem out;
+  for (std::size_t j = 0; j < p.num_vars(); ++j) {
+    out.add_variable(p.col_lower()[j], p.col_upper()[j], p.cost()[j]);
+  }
+  out.add_row(std::move(terms), lower, upper);
+  for (std::size_t i = 1; i < p.rows().size(); ++i) {
+    const Row& row = p.rows()[i];
+    out.add_row(row.terms, row.lower, row.upper);
+  }
+  return out;
+}
+
+TEST(SimplexSparseEngine, HandoffDeclinesWhenAKeptRowChanges) {
+  // Row 0 takes the two-term chord shape, on columns 0 and 2.  The child
+  // keeps every row key, but row 0 either changes one coefficient (a chord
+  // rebuilt against the node's bounds under a stable key) or moves its
+  // second coefficient to column 1 (the same values in the same order, so
+  // only the column tells the rows apart).  The snapshot's factor no longer
+  // matches B, so adoption must decline -- an identical child on the same
+  // instance adopts it -- and the solve must still reach the cold optimum.
+  int compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    common::Rng rng(static_cast<std::uint64_t>(trial) * 65537 + 23);
+    Vector seed;
+    const LpProblem dense = random_feasible(rng, &seed);
+    const double a = rng.uniform(0.5, 2.0);
+    const double c = rng.uniform(0.5, 2.0);
+    const double at_seed = a * seed[0] + c * seed[2];
+    const double lower = at_seed - rng.uniform(0.1, 1.0);
+    const double upper = at_seed + rng.uniform(0.1, 1.0);
+    const LpProblem p = with_first_row(dense, {{0, a}, {2, c}}, lower, upper);
+    std::vector<std::uint64_t> keys(p.rows().size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = static_cast<std::uint64_t>(i);
+    }
+    SimplexOptions capture;
+    capture.capture_basis = true;
+    capture.capture_factor = true;
+    const LpSolution cold =
+        resolve_from_basis(p, Basis{}, WarmFactor{nullptr, keys}, capture);
+    ASSERT_EQ(cold.status, LpStatus::kOptimal);
+    if (cold.basis.empty() || cold.factor == nullptr) {
+      continue;
+    }
+    const LpSolution same =
+        resolve_from_basis(p, cold.basis, WarmFactor{cold.factor, keys});
+    ASSERT_TRUE(same.factor_inherited) << "trial " << trial;
+
+    for (const bool moved : {false, true}) {
+      const LpProblem child =
+          moved ? with_first_row(p, {{0, a}, {1, c}}, lower, upper)
+                : with_first_row(p, {{0, a}, {2, 1.25 * c}}, lower, upper);
+      const LpSolution reference = solve(child);
+      if (reference.status != LpStatus::kOptimal) {
+        continue;  // the change made this instance infeasible
+      }
+      const LpSolution warm =
+          resolve_from_basis(child, cold.basis, WarmFactor{cold.factor, keys});
+      ASSERT_EQ(warm.status, LpStatus::kOptimal) << "trial " << trial;
+      EXPECT_FALSE(warm.factor_inherited)
+          << "trial " << trial << (moved ? ": moved" : ": rescaled")
+          << " row adopted a stale factor";
+      EXPECT_NEAR(warm.objective, reference.objective, 1e-6)
+          << "trial " << trial;
+      EXPECT_TRUE(satisfies(child, warm.x));
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 20) << "too few instances exercised the declined path";
 }
 
 // ---------------------------------------------------------------------------
@@ -554,11 +643,11 @@ TEST(SimplexSparseStability, IllScaledColumnsStayCorrect) {
                           p.cost()[j] * s[j]);
     }
     for (const Row& row : p.rows()) {
-      Vector coeffs(p.num_vars());
-      for (std::size_t j = 0; j < p.num_vars(); ++j) {
-        coeffs[j] = row.coeffs[j] * s[j];
+      std::vector<Term> terms = row.terms;
+      for (auto& [col, value] : terms) {
+        value *= s[col];
       }
-      scaled.add_row(std::move(coeffs), row.lower, row.upper);
+      scaled.add_row(std::move(terms), row.lower, row.upper);
     }
 
     SimplexOptions sparse_opts;

@@ -7,14 +7,23 @@
 namespace hslb::lp {
 namespace {
 
+/// Terms of a dense coefficient row (add_row drops the zeros).
+std::vector<Term> terms_of(const linalg::Vector& dense) {
+  std::vector<Term> terms;
+  for (std::size_t j = 0; j < dense.size(); ++j) {
+    terms.emplace_back(j, dense[j]);
+  }
+  return terms;
+}
+
 TEST(Simplex, TextbookMaximization) {
   // max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, x, y >= 0
   // optimum at (1.6, 1.2), value 2.8.
   LpProblem p;
-  p.add_variable(0.0, kInf, -1.0, "x");
-  p.add_variable(0.0, kInf, -1.0, "y");
-  p.add_row({1, 2}, -kInf, 4);
-  p.add_row({3, 1}, -kInf, 6);
+  p.add_variable(0.0, kInf, -1.0);
+  p.add_variable(0.0, kInf, -1.0);
+  p.add_row(terms_of({1, 2}), -kInf, 4);
+  p.add_row(terms_of({3, 1}), -kInf, 6);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, -2.8, 1e-8);
@@ -27,7 +36,7 @@ TEST(Simplex, EqualityConstraint) {
   LpProblem p;
   p.add_variable(0.0, 2.0, 1.0);
   p.add_variable(0.0, kInf, 1.0);
-  p.add_row({1, 1}, 5.0, 5.0);
+  p.add_row(terms_of({1, 1}), 5.0, 5.0);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, 5.0, 1e-8);
@@ -40,7 +49,7 @@ TEST(Simplex, RangeRowAndNegativeBounds) {
   LpProblem p;
   p.add_variable(0.0, 10.0, 2.0);
   p.add_variable(-5.0, 5.0, -3.0);
-  p.add_row({1, 1}, 1.0, 3.0);
+  p.add_row(terms_of({1, 1}), 1.0, 3.0);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, -9.0, 1e-8);
@@ -50,7 +59,7 @@ TEST(Simplex, RangeRowAndNegativeBounds) {
 TEST(Simplex, DetectsInfeasible) {
   LpProblem p;
   p.add_variable(0.0, 1.0, 1.0);
-  p.add_row({1}, 2.0, 3.0);  // x in [2,3] but x <= 1
+  p.add_row(terms_of({1}), 2.0, 3.0);  // x in [2,3] but x <= 1
   EXPECT_EQ(solve(p).status, LpStatus::kInfeasible);
 }
 
@@ -67,7 +76,7 @@ TEST(Simplex, DetectsUnbounded) {
   LpProblem p;
   p.add_variable(0.0, kInf, -1.0);  // min -x, x unbounded above
   p.add_variable(0.0, 1.0, 0.0);
-  p.add_row({0, 1}, -kInf, 1.0);
+  p.add_row(terms_of({0, 1}), -kInf, 1.0);
   EXPECT_EQ(solve(p).status, LpStatus::kUnbounded);
 }
 
@@ -84,7 +93,7 @@ TEST(Simplex, FreeVariable) {
   // min x  s.t.  x >= -3 via a row (variable itself unbounded).
   LpProblem p;
   p.add_variable(-kInf, kInf, 1.0);
-  p.add_row({1}, -3.0, kInf);
+  p.add_row(terms_of({1}), -3.0, kInf);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.x[0], -3.0, 1e-8);
@@ -104,11 +113,11 @@ TEST(Simplex, DegenerateProblemTerminates) {
   LpProblem p;
   p.add_variable(0.0, kInf, -1.0);
   p.add_variable(0.0, kInf, -1.0);
-  p.add_row({1, 1}, -kInf, 1.0);
-  p.add_row({2, 2}, -kInf, 2.0);
-  p.add_row({1, 0}, -kInf, 1.0);
-  p.add_row({0, 1}, -kInf, 1.0);
-  p.add_row({3, 3}, -kInf, 3.0);
+  p.add_row(terms_of({1, 1}), -kInf, 1.0);
+  p.add_row(terms_of({2, 2}), -kInf, 2.0);
+  p.add_row(terms_of({1, 0}), -kInf, 1.0);
+  p.add_row(terms_of({0, 1}), -kInf, 1.0);
+  p.add_row(terms_of({3, 3}), -kInf, 3.0);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, -1.0, 1e-8);
@@ -127,28 +136,64 @@ TEST(Simplex, FixedVariables) {
   LpProblem p;
   p.add_variable(2.0, 2.0, 1.0);
   p.add_variable(3.0, 3.0, 1.0);
-  p.add_row({1, 1}, 5.0, 5.0);
+  p.add_row(terms_of({1, 1}), 5.0, 5.0);
   const auto s = solve(p);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, 5.0, 1e-9);
 
   LpProblem q;
   q.add_variable(2.0, 2.0, 1.0);
-  q.add_row({1}, 3.0, 3.0);
+  q.add_row(terms_of({1}), 3.0, 3.0);
   EXPECT_EQ(solve(q).status, LpStatus::kInfeasible);
 }
 
 TEST(LpProblem, RejectsRowBeforeAllVariables) {
   LpProblem p;
   p.add_variable(0.0, 1.0, 1.0);
-  p.add_row({1}, 0.0, 1.0);
+  p.add_row(terms_of({1}), 0.0, 1.0);
   EXPECT_THROW(p.add_variable(0.0, 1.0, 1.0), InvalidArgument);
 }
 
-TEST(LpProblem, RejectsWrongRowWidth) {
+TEST(LpProblem, AddRowSortsTermsByColumn) {
+  LpProblem p;
+  for (int j = 0; j < 4; ++j) {
+    p.add_variable(0.0, 1.0, 1.0);
+  }
+  p.add_row({{3, 4.0}, {0, 1.0}, {2, 3.0}}, 0.0, 1.0);
+  const std::vector<Term> want = {{0, 1.0}, {2, 3.0}, {3, 4.0}};
+  EXPECT_EQ(p.rows()[0].terms, want);
+}
+
+TEST(LpProblem, AddRowSumsDuplicateColumnsInInputOrder) {
   LpProblem p;
   p.add_variable(0.0, 1.0, 1.0);
-  EXPECT_THROW(p.add_row({1, 2}, 0.0, 1.0), InvalidArgument);
+  p.add_variable(0.0, 1.0, 1.0);
+  // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in binary floating point, so the
+  // stored value pins the summation order.
+  p.add_row({{1, 0.1}, {0, 5.0}, {1, 0.2}, {1, 0.3}}, 0.0, 1.0);
+  ASSERT_EQ(p.rows()[0].terms.size(), 2u);
+  EXPECT_EQ(p.rows()[0].terms[0], (Term{0, 5.0}));
+  EXPECT_EQ(p.rows()[0].terms[1].first, 1u);
+  EXPECT_EQ(p.rows()[0].terms[1].second, (0.0 + 0.1 + 0.2) + 0.3);
+  EXPECT_NE(p.rows()[0].terms[1].second, 0.1 + (0.2 + 0.3));
+}
+
+TEST(LpProblem, AddRowDropsExactZeros) {
+  LpProblem p;
+  for (int j = 0; j < 3; ++j) {
+    p.add_variable(0.0, 1.0, 1.0);
+  }
+  // An explicit zero, a negative zero, and a duplicate pair that cancels.
+  p.add_row({{0, 0.0}, {1, -0.0}, {2, 1.5}, {0, 2.0}, {0, -2.0}}, 0.0, 1.0);
+  const std::vector<Term> want = {{2, 1.5}};
+  EXPECT_EQ(p.rows()[0].terms, want);
+}
+
+TEST(LpProblem, AddRowRejectsOutOfRangeColumn) {
+  LpProblem p;
+  p.add_variable(0.0, 1.0, 1.0);
+  EXPECT_THROW(p.add_row({{1, 2.0}}, 0.0, 1.0), InvalidArgument);
+  EXPECT_EQ(p.num_rows(), 0u);
 }
 
 }  // namespace

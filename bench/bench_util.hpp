@@ -48,28 +48,9 @@ inline std::string result_fingerprint(const minlp::MinlpResult& r) {
         s.incumbent_updates, s.pruned_by_bound, s.pruned_infeasible, s.epochs,
         s.warm_lp_solves, s.warm_phase1_skips, s.warm_simplex_iterations,
         s.cold_simplex_iterations, s.lp_factorizations, s.lp_refactorizations,
-        s.lp_eta_updates, s.lp_bound_flips, s.lp_bt_fallbacks,
-        s.lp_factor_inherits}) {
+        s.lp_eta_updates, s.lp_bound_flips, s.lp_factor_inherits}) {
     out += '|' + std::to_string(v);
   }
-  return out;
-}
-
-/// Solution-level fingerprint: the answer only (status, objective, bound,
-/// incumbent point), without the search counters.  For comparing
-/// configurations that legitimately count work differently -- e.g. the
-/// sparse vs dense simplex engines, which factorize and pivot on different
-/// schedules but must land on the same tree and the same answer.
-inline std::string solution_fingerprint(const minlp::MinlpResult& r) {
-  std::string out;
-  out += std::to_string(static_cast<int>(r.status));
-  out += '|' + bits(r.objective);
-  out += '|' + bits(r.stats.best_bound);
-  out += "|x:";
-  for (std::size_t i = 0; i < r.x.size(); ++i) {
-    out += bits(r.x[i]) + ',';
-  }
-  out += '|' + std::to_string(r.stats.nodes_explored);
   return out;
 }
 
@@ -149,11 +130,13 @@ inline report::ResultSet make_result_set(const std::string& bench_id,
 }
 
 /// Final step of every bench main: write the artifact when requested, check
-/// the optional fingerprint pin, and fold in the binary's own identity
-/// verdict (byte-identity across thread counts, cached-vs-fresh equality,
-/// ...).  Any break exits nonzero so CI cannot greenwash a bad run.
+/// the optional fingerprint pin, and fold in the binary's own verdict --
+/// its identity cross-checks (byte-identity across thread counts,
+/// cached-vs-fresh equality, ...) and its gates, which the binary reports
+/// by name on stderr as they fail.  Any failure exits nonzero so CI cannot
+/// greenwash a bad run.
 inline int finish(report::ResultSet set, const ArtifactOptions& options,
-                  bool identity_ok = true) {
+                  bool checks_ok = true) {
   set.canonicalize();
   const std::string fingerprint = set.fingerprint();
   if (!options.json_out.empty()) {
@@ -164,15 +147,16 @@ inline int finish(report::ResultSet set, const ArtifactOptions& options,
     std::cerr << "artifact: " << options.json_out << " (fingerprint "
               << fingerprint << ")\n";
   }
-  bool ok = identity_ok;
+  bool ok = checks_ok;
   if (!options.expect_fingerprint.empty() &&
       options.expect_fingerprint != fingerprint) {
     std::cerr << "FINGERPRINT BREAK: expected " << options.expect_fingerprint
               << ", this run produced " << fingerprint << '\n';
     ok = false;
   }
-  if (!identity_ok) {
-    std::cerr << "IDENTITY BREAK: internal cross-check failed\n";
+  if (!checks_ok) {
+    std::cerr << "CHECK FAILED: an identity cross-check or a gate failed"
+                 " (see the messages above)\n";
   }
   return ok ? 0 : 1;
 }

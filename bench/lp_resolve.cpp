@@ -7,20 +7,21 @@
 // produces: each case lowers a generated scenario to its master LP, then
 // replays a deterministic sequence of node-style edits (one integer bound
 // tightened per step, a tangent cut appended every third step) and re-solves
-// after every edit.  Three arms run the byte-identical sequence:
+// after every edit.  Two arms run the byte-identical sequence:
 //
-//   warm   sparse engine, parent basis + maintained-factor handoff between
-//          consecutive solves (the branch-and-bound configuration),
-//   cold   sparse engine, every solve factorizes from scratch,
-//   dense  legacy dense engine (refactorizes every pivot; the pre-sparse
-//          baseline).
+//   warm   parent basis + maintained-factor handoff between consecutive
+//          solves (the branch-and-bound configuration),
+//   cold   every solve factorizes from scratch.
 //
-// Every arm must report the same status and objective at every step (any
-// disagreement exits nonzero), so the speedup is measured between solves
-// that provably did the same job.  The artifact (PR 5 schema) carries the
-// deterministic pivot/eta/factorization counters plus kTiming cells for the
-// wall-clock numbers; in full mode the binary enforces the headline claim --
-// geometric-mean warm-vs-cold speedup of at least 2x -- and fails otherwise.
+// Both arms must report the same status and objective at every step, and
+// every optimal cold step must pass lp::certify, an optimality certificate
+// rebuilt from the problem data outside the timed region (any disagreement
+// or failed certificate exits nonzero), so the speedup is measured between
+// solves that provably did the same, correct job.  The artifact (PR 5
+// schema) carries the deterministic pivot/eta/factorization/certificate
+// counters plus kTiming cells for the wall-clock numbers; in full mode the
+// binary enforces the headline claim -- geometric-mean warm-vs-cold speedup
+// of at least 2x -- and fails otherwise.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -32,6 +33,7 @@
 #include "hslb/common/rng.hpp"
 #include "hslb/common/table.hpp"
 #include "hslb/common/timing.hpp"
+#include "hslb/lp/certify.hpp"
 #include "hslb/lp/simplex.hpp"
 #include "hslb/minlp/relaxation.hpp"
 #include "hslb/scen/build.hpp"
@@ -60,16 +62,18 @@ struct ArmStats {
   long factor_inherits = 0;
   long phase1_skips = 0;
   long infeasible = 0;
+  long certified = 0;           ///< optimal steps whose certificate passed
+  long uncertified = 0;         ///< optimal steps whose certificate failed
   double solve_seconds = 0.0;   ///< summed over the lp solves only
   std::string objective_bits;   ///< concatenated bit patterns, per step
   std::vector<double> objectives;  ///< per-step optima (NaN when infeasible)
 };
 
-enum class Arm { kWarm, kCold, kDense };
+enum class Arm { kWarm, kCold };
 
 /// Replay the edit sequence once, accumulating one arm's counters.  The LP
 /// built at step t is identical across arms by construction; only how it is
-/// solved differs.
+/// solved differs.  The cold arm certifies each optimal step (untimed).
 ArmStats run_arm(const minlp::Model& model,
                  const std::vector<minlp::Curvature>& curvature,
                  const minlp::CutPool& seeded, const std::vector<Step>& steps,
@@ -85,8 +89,7 @@ ArmStats run_arm(const minlp::Model& model,
   }
 
   lp::SimplexOptions opts;
-  opts.engine = arm == Arm::kDense ? lp::LpEngine::kDense : lp::LpEngine::kSparse;
-  opts.capture_basis = arm == Arm::kWarm;
+  opts.capture_basis = true;  // warm: the next start; cold: the certificate
   opts.capture_factor = arm == Arm::kWarm;
 
   lp::Basis warm;
@@ -137,7 +140,16 @@ ArmStats run_arm(const minlp::Model& model,
     if (sol.status == lp::LpStatus::kOptimal) {
       out.objective_bits += bench::bits(sol.objective) + ',';
       out.objectives.push_back(sol.objective);
-      if (arm == Arm::kWarm) {
+      if (arm == Arm::kCold) {
+        const lp::Certificate cert = lp::certify(master, sol);
+        (cert.ok ? out.certified : out.uncertified) += 1;
+        if (!cert.ok) {
+          std::cerr << "CERTIFICATE FAILED: step " << t << " primal "
+                    << cert.primal << " dual " << cert.dual
+                    << " complementarity " << cert.complementarity << " gap "
+                    << cert.gap << '\n';
+        }
+      } else {
         if (!sol.basis.empty()) {
           warm = sol.basis;
           warm_keys = keys;
@@ -221,12 +233,11 @@ int main(int argc, char** argv) {
 
   report::ResultSet artifact =
       bench::make_result_set("lp_resolve", title, reference);
-  common::Table table({"case", "rows", "warm ms", "cold ms", "dense ms",
-                       "speedup", "warm pivots", "cold pivots", "etas",
-                       "inherits"});
+  common::Table table({"case", "rows", "warm ms", "cold ms", "speedup",
+                       "warm pivots", "cold pivots", "etas", "inherits",
+                       "certified"});
   bool identity_ok = true;
   double log_speedup_sum = 0.0;
-  double log_dense_speedup_sum = 0.0;
   int measured = 0;
 
   for (const scen::Scenario& s : cases) {
@@ -311,25 +322,23 @@ int main(int argc, char** argv) {
     std::cerr << "  case: " << s.name << '\n';
     ArmStats warm;
     ArmStats cold;
-    ArmStats dense;
     for (int r = 0; r < repeats; ++r) {
       ArmStats w = run_arm(model, curvature, seeded, steps, Arm::kWarm);
       ArmStats c = run_arm(model, curvature, seeded, steps, Arm::kCold);
-      ArmStats d = run_arm(model, curvature, seeded, steps, Arm::kDense);
       if (r == 0) {
         warm = std::move(w);
         cold = std::move(c);
-        dense = std::move(d);
       } else {
         identity_ok = identity_ok && w.objective_bits == warm.objective_bits &&
-                      c.objective_bits == cold.objective_bits &&
-                      d.objective_bits == dense.objective_bits;
+                      c.objective_bits == cold.objective_bits;
         warm.solve_seconds = std::min(warm.solve_seconds, w.solve_seconds);
         cold.solve_seconds = std::min(cold.solve_seconds, c.solve_seconds);
-        dense.solve_seconds = std::min(dense.solve_seconds, d.solve_seconds);
       }
     }
-    // The three arms must have solved the same sequence to the same optima.
+    // Every optimal cold step must carry a passing certificate (a repeat
+    // replays the same solves, so the first replay's verdict stands).
+    identity_ok = identity_ok && cold.uncertified == 0;
+    // Both arms must have solved the same sequence to the same optima.
     // Different pivot paths may land on different (degenerate) vertices, so
     // the cross-arm check is a tolerance on the objective, not bit equality;
     // bit equality is enforced within each arm across the repeats above.
@@ -338,29 +347,21 @@ int main(int argc, char** argv) {
       const double w = warm.objectives[t];
       const double c = t < cold.objectives.size() ? cold.objectives[t]
                                                   : std::nan("");
-      const double d = t < dense.objectives.size() ? dense.objectives[t]
-                                                   : std::nan("");
-      const bool same_feas = std::isnan(w) == std::isnan(c) &&
-                             std::isnan(w) == std::isnan(d);
+      const bool same_feas = std::isnan(w) == std::isnan(c);
       const double tol = 1e-6 * (1.0 + std::fabs(std::isnan(c) ? 0.0 : c));
-      const bool same_opt =
-          std::isnan(w) ||
-          (std::fabs(w - c) <= tol && std::fabs(d - c) <= tol);
+      const bool same_opt = std::isnan(w) || std::fabs(w - c) <= tol;
       if (same_feas && same_opt) {
         ++objective_matches;
       } else {
         std::cerr << "OBJECTIVE DIVERGENCE: " << s.name << " step " << t
-                  << " warm " << w << " cold " << c << " dense " << d << '\n';
+                  << " warm " << w << " cold " << c << '\n';
         identity_ok = false;
       }
     }
 
     const double speedup =
         cold.solve_seconds / std::max(1e-12, warm.solve_seconds);
-    const double dense_speedup =
-        dense.solve_seconds / std::max(1e-12, warm.solve_seconds);
     log_speedup_sum += std::log(std::max(1e-12, speedup));
-    log_dense_speedup_sum += std::log(std::max(1e-12, dense_speedup));
     ++measured;
 
     const std::size_t rows = model.linear_constraints().size();
@@ -369,12 +370,12 @@ int main(int argc, char** argv) {
     table.cell(static_cast<long long>(rows));
     table.cell(warm.solve_seconds * 1e3, 2);
     table.cell(cold.solve_seconds * 1e3, 2);
-    table.cell(dense.solve_seconds * 1e3, 2);
     table.cell(speedup, 2);
     table.cell(static_cast<long long>(warm.pivots));
     table.cell(static_cast<long long>(cold.pivots));
     table.cell(static_cast<long long>(warm.eta_updates));
     table.cell(static_cast<long long>(warm.factor_inherits));
+    table.cell(static_cast<long long>(cold.certified));
 
     artifact.add(s.name, 0.0, "steps", static_cast<double>(warm.solves),
                  "count");
@@ -384,8 +385,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(warm.phase1_pivots), "count");
     artifact.add(s.name, 0.0, "cold_pivots",
                  static_cast<double>(cold.pivots), "count");
-    artifact.add(s.name, 0.0, "dense_pivots",
-                 static_cast<double>(dense.pivots), "count");
     artifact.add(s.name, 0.0, "warm_factorizations",
                  static_cast<double>(warm.factorizations), "count");
     artifact.add(s.name, 0.0, "warm_refactorizations",
@@ -402,27 +401,21 @@ int main(int argc, char** argv) {
                  static_cast<double>(cold.infeasible), "count");
     artifact.add(s.name, 0.0, "objective_matches",
                  static_cast<double>(objective_matches), "count");
+    artifact.add(s.name, 0.0, "certified_steps",
+                 static_cast<double>(cold.certified), "count");
     artifact.add(s.name, 0.0, "warm_ms", warm.solve_seconds * 1e3, "ms",
                  report::Stability::kTiming);
     artifact.add(s.name, 0.0, "cold_ms", cold.solve_seconds * 1e3, "ms",
                  report::Stability::kTiming);
-    artifact.add(s.name, 0.0, "dense_ms", dense.solve_seconds * 1e3, "ms",
-                 report::Stability::kTiming);
     artifact.add(s.name, 0.0, "speedup_warm_vs_cold", speedup, "",
-                 report::Stability::kTiming);
-    artifact.add(s.name, 0.0, "speedup_warm_vs_dense", dense_speedup, "",
                  report::Stability::kTiming);
   }
 
   std::cout << table;
   const double geomean =
       measured > 0 ? std::exp(log_speedup_sum / measured) : 0.0;
-  const double dense_geomean =
-      measured > 0 ? std::exp(log_dense_speedup_sum / measured) : 0.0;
-  std::cout << "geomean warm-vs-cold speedup:  "
-            << common::format_fixed(geomean, 2) << "x\n"
-            << "geomean warm-vs-dense speedup: "
-            << common::format_fixed(dense_geomean, 2) << "x\n";
+  std::cout << "geomean warm-vs-cold speedup: "
+            << common::format_fixed(geomean, 2) << "x\n";
   bool gate_ok = true;
   if (!smoke && geomean < 2.0) {
     std::cerr << "SPEEDUP GATE: geomean warm-vs-cold "
@@ -435,8 +428,6 @@ int main(int argc, char** argv) {
                       "count");
   artifact.add_scalar("summary", "geomean_speedup_warm_vs_cold", geomean, "",
                       report::Stability::kTiming);
-  artifact.add_scalar("summary", "geomean_speedup_warm_vs_dense",
-                      dense_geomean, "", report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
   artifact.canonicalize();
   if (!report::write_file(artifact, out_path)) {

@@ -16,12 +16,14 @@
 //
 // Every arm runs twice and must produce a byte-identical replay fingerprint
 // (the in-binary determinism gate).  The loop arms must beat the static arm
-// on cumulative core-hours, warm must not do more deterministic solver work
-// (simplex pivots) than cold -- and in full mode must also win on re-solve
-// wall time -- and the detector's fires are scored against the scripted
-// regime-shift ground truth with precision and recall gated at 0.5.  The
-// artifact (PR 5 schema) carries every deterministic counter plus kTiming
-// cells for the wall-clock numbers.
+// on cumulative core-hours, warm must do strictly less deterministic solver
+// work (simplex pivots) than cold, and the detector's fires are scored
+// against the scripted regime-shift ground truth with precision and recall
+// gated at 0.5.  The warm-vs-cold wall-time speedup is recorded but not
+// gated: it is a race within machine noise, and the pivot gate already
+// measures the same win deterministically.  The artifact (PR 5 schema)
+// carries every deterministic counter plus kTiming cells for the
+// wall-clock numbers.
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -257,22 +259,16 @@ int main(int argc, char** argv) {
           "cold loop must beat the static allocation on core-hours");
   require(arm_warm.rebalances >= 2,
           "warm loop must rebalance at least twice (two scripted shifts)");
-  require(arm_warm.resolve_simplex_iterations <=
+  require(arm_warm.resolve_simplex_iterations <
               arm_cold.resolve_simplex_iterations,
-          "warm re-solves must not pivot more than cold (deterministic"
-          " proxy)");
+          "warm re-solves must pivot less than cold (deterministic)");
   require(score.precision >= 0.5, "detector precision must be >= 0.5");
   require(score.recall >= 0.5, "detector recall must be >= 0.5");
   const double warm_speedup =
       arm_cold.resolve_wall_seconds /
       std::max(1e-12, arm_warm.resolve_wall_seconds);
-  if (!smoke) {
-    require(arm_warm.resolve_wall_seconds < arm_cold.resolve_wall_seconds,
-            "warm re-solves must beat cold on wall time (full mode)");
-  }
   std::cout << "warm-vs-cold re-solve speedup: "
-            << common::format_fixed(warm_speedup, 2) << "x ("
-            << (smoke ? "not gated in smoke mode" : "gated > 1x") << ")\n";
+            << common::format_fixed(warm_speedup, 2) << "x (not gated)\n";
 
   artifact.add_scalar("detector", "true_positives",
                       static_cast<double>(score.true_positives), "count");

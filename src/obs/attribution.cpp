@@ -164,7 +164,6 @@ Attribution attribute_phases(const std::vector<TraceEvent>& events,
         static_cast<long>(arg_number(e, "refactorizations"));
     out.lp.factor_inherits +=
         static_cast<long>(arg_number(e, "factor_inherits"));
-    out.lp.bt_fallbacks += static_cast<long>(arg_number(e, "bt_fallbacks"));
   }
 
   double wall_start = std::numeric_limits<double>::infinity();
@@ -392,7 +391,6 @@ report::Json attribution_json(const Attribution& attribution) {
          report::Json::integer(attribution.lp.refactorizations));
   lp.set("factor_inherits",
          report::Json::integer(attribution.lp.factor_inherits));
-  lp.set("bt_fallbacks", report::Json::integer(attribution.lp.bt_fallbacks));
   out.set("lp_engine", std::move(lp));
 
   report::Json percentiles = report::Json::array();

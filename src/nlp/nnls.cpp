@@ -1,8 +1,8 @@
-// Lawson-Hanson active-set NNLS.
+// NNLS by exact passive-set enumeration (see nnls.hpp).
 #include "hslb/nlp/nnls.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "hslb/common/error.hpp"
 #include "hslb/linalg/least_squares.hpp"
@@ -10,108 +10,71 @@
 namespace hslb::nlp {
 namespace {
 
-using linalg::Matrix;
-using linalg::Vector;
-
-/// Unconstrained least squares restricted to the passive column set.
-Vector solve_on_passive(const Matrix& a, std::span<const double> b,
-                        const std::vector<bool>& passive) {
-  std::vector<std::size_t> cols;
-  for (std::size_t j = 0; j < passive.size(); ++j) {
-    if (passive[j]) {
-      cols.push_back(j);
-    }
+/// ||A x - b||_2, with `resid` as scratch.
+double residual_norm(const linalg::Matrix& a, std::span<const double> b,
+                     std::span<const double> x, std::span<double> resid) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    resid[i] = linalg::dot(a.row(i), x) - b[i];
   }
-  Vector full(passive.size(), 0.0);
-  if (cols.empty()) {
-    return full;
-  }
-  Matrix sub(a.rows(), cols.size());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      sub(r, k) = a(r, cols[k]);
-    }
-  }
-  const auto ls = linalg::solve_least_squares(sub, b);
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    full[cols[k]] = ls.x[k];
-  }
-  return full;
+  return linalg::norm2(resid);
 }
 
 }  // namespace
 
-NnlsResult solve_nnls(const Matrix& a, std::span<const double> b,
-                      int max_iterations) {
-  HSLB_REQUIRE(a.rows() == b.size(), "NNLS rhs size mismatch");
+const NnlsResult& solve_nnls(const linalg::Matrix& a,
+                             std::span<const double> b, NnlsWorkspace& ws) {
+  const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-
-  NnlsResult out;
-  out.x.assign(n, 0.0);
-  std::vector<bool> passive(n, false);
+  HSLB_REQUIRE(m == b.size(), "NNLS rhs size mismatch");
+  HSLB_REQUIRE(n <= kNnlsMaxColumns,
+               "NNLS enumerates at most kNnlsMaxColumns columns");
+  ws.columns.resize(m * n);
+  ws.qtb.resize(m);
+  ws.householder.resize(m);
+  ws.z.resize(n);
+  ws.x.resize(n);
+  ws.residual.resize(m);
 
   const double tol = 1e-10 * std::max(1.0, a.frobenius_norm());
+  NnlsResult& out = ws.result;
+  out.x.assign(n, 0.0);
+  out.residual_norm = residual_norm(a, b, out.x, ws.residual);
 
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    out.iterations = iter;
-    // Gradient of 1/2||Ax-b||^2 is A^T (A x - b); w = -gradient.
-    const Vector resid = linalg::subtract(linalg::matvec(a, out.x), b);
-    const Vector w = linalg::scale(-1.0, linalg::matvec_t(a, resid));
-
-    // Most-violating active column.
-    std::ptrdiff_t best = -1;
-    double best_w = tol;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!passive[j] && w[j] > best_w) {
-        best_w = w[j];
-        best = static_cast<std::ptrdiff_t>(j);
+  for (unsigned mask = 1; mask < (1u << n); ++mask) {
+    const auto k = static_cast<std::size_t>(std::popcount(mask));
+    if (k > m) {
+      continue;
+    }
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if ((mask >> j) & 1u) {
+          ws.columns[at++] = a(i, j);
+        }
       }
     }
-    if (best < 0) {
-      break;  // KKT satisfied
+    std::copy(b.begin(), b.end(), ws.qtb.begin());
+    const std::span<double> z = std::span(ws.z).first(k);
+    linalg::householder_solve(m, k, std::span(ws.columns).first(m * k),
+                              ws.qtb, ws.householder, z);
+    if (!std::all_of(z.begin(), z.end(), [&](double v) { return v > tol; })) {
+      continue;
     }
-    passive[static_cast<std::size_t>(best)] = true;
-
-    // Inner loop: restore feasibility of the passive-set LS solution.
-    for (;;) {
-      const Vector z = solve_on_passive(a, b, passive);
-      bool all_positive = true;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (passive[j] && z[j] <= tol) {
-          all_positive = false;
-          break;
-        }
-      }
-      if (all_positive) {
-        out.x = z;
-        break;
-      }
-      // Step from x toward z until the first passive coordinate hits zero.
-      double alpha = 1.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (passive[j] && z[j] <= tol) {
-          const double denom = out.x[j] - z[j];
-          if (denom > 0.0) {
-            alpha = std::min(alpha, out.x[j] / denom);
-          }
-        }
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        out.x[j] += alpha * (z[j] - out.x[j]);
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        if (passive[j] && out.x[j] <= tol) {
-          passive[j] = false;
-          out.x[j] = 0.0;
-        }
-      }
+    for (std::size_t j = 0, t = 0; j < n; ++j) {
+      ws.x[j] = ((mask >> j) & 1u) ? z[t++] : 0.0;
+    }
+    const double norm = residual_norm(a, b, ws.x, ws.residual);
+    if (norm < out.residual_norm) {
+      out.residual_norm = norm;
+      std::copy(ws.x.begin(), ws.x.end(), out.x.begin());
     }
   }
-
-  out.converged = out.iterations < max_iterations - 1;
-  const Vector resid = linalg::subtract(linalg::matvec(a, out.x), b);
-  out.residual_norm = linalg::norm2(resid);
   return out;
+}
+
+NnlsResult solve_nnls(const linalg::Matrix& a, std::span<const double> b) {
+  NnlsWorkspace ws;
+  return solve_nnls(a, b, ws);
 }
 
 }  // namespace hslb::nlp

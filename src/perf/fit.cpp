@@ -15,29 +15,44 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
-/// For a fixed exponent c, solve the (a, b, d) >= 0 subproblem by NNLS and
-/// return the sum of squared residuals.
-double varpro_at(double c, std::span<const double> nodes,
-                 std::span<const double> times,
-                 std::span<const double> weights, PerfParams* best) {
-  const std::size_t m = nodes.size();
-  Matrix a(m, 3);
-  Vector rhs(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    a(i, 0) = weights[i] / nodes[i];
-    a(i, 1) = weights[i] * std::pow(nodes[i], c);
-    a(i, 2) = weights[i];
-    rhs[i] = weights[i] * times[i];
+/// One fit's VarPro evaluations.  For a fixed exponent c the (a, b, d) >= 0
+/// subproblem is an NNLS solve; the design matrix, right-hand side and NNLS
+/// scratch are sized once per fit and refilled for each c, so the grid and
+/// golden-section evaluations allocate nothing after the first.
+class VarPro {
+ public:
+  VarPro(std::span<const double> nodes, std::span<const double> times,
+         std::span<const double> weights)
+      : nodes_(nodes), weights_(weights), a_(nodes.size(), 3),
+        rhs_(nodes.size()) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      a_(i, 0) = weights[i] / nodes[i];
+      a_(i, 2) = weights[i];
+      rhs_[i] = weights[i] * times[i];
+    }
   }
-  const auto r = nlp::solve_nnls(a, rhs);
-  if (best) {
-    best->a = r.x[0];
-    best->b = r.x[1];
-    best->c = c;
-    best->d = r.x[2];
+
+  /// Sum of squared residuals of the best (a, b, d) at exponent c, with the
+  /// parameters written to `best`.
+  double operator()(double c, PerfParams& best) {
+    ++evaluations;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      a_(i, 1) = weights_[i] * std::pow(nodes_[i], c);
+    }
+    const nlp::NnlsResult& r = nlp::solve_nnls(a_, rhs_, nnls_);
+    best = PerfParams{r.x[0], r.x[1], c, r.x[2]};
+    return r.residual_norm * r.residual_norm;
   }
-  return r.residual_norm * r.residual_norm;
-}
+
+  long evaluations = 0;
+
+ private:
+  std::span<const double> nodes_;
+  std::span<const double> weights_;
+  Matrix a_;
+  Vector rhs_;
+  nlp::NnlsWorkspace nnls_;
+};
 
 double sse_of(const PerfParams& p, std::span<const double> nodes,
               std::span<const double> times,
@@ -106,11 +121,12 @@ FitResult fit(std::span<const double> nodes, std::span<const double> times,
   // --- VarPro grid over the exponent. --------------------------------------
   PerfParams best;
   double best_sse = lp::kInf;
+  VarPro varpro(nodes, times, weights);
   for (int k = 0; k <= opts.c_grid; ++k) {
     const double c =
         opts.c_min + (opts.c_max - opts.c_min) * k / std::max(1, opts.c_grid);
     PerfParams p;
-    const double sse = varpro_at(c, nodes, times, weights, &p);
+    const double sse = varpro(c, p);
     if (sse < best_sse) {
       best_sse = sse;
       best = p;
@@ -128,8 +144,8 @@ FitResult fit(std::span<const double> nodes, std::span<const double> times,
       const double c2 = lo + kGolden * (hi - lo);
       PerfParams p1;
       PerfParams p2;
-      const double s1 = varpro_at(c1, nodes, times, weights, &p1);
-      const double s2 = varpro_at(c2, nodes, times, weights, &p2);
+      const double s1 = varpro(c1, p1);
+      const double s2 = varpro(c2, p2);
       if (s1 <= s2) {
         hi = c2;
         if (s1 < best_sse) {
@@ -145,6 +161,8 @@ FitResult fit(std::span<const double> nodes, std::span<const double> times,
       }
     }
   }
+
+  HSLB_COUNT("perf.fit.varpro_evals", varpro.evaluations);
 
   // --- Optional LM polish over all four parameters. -------------------------
   const auto residual_fn = [&](std::span<const double> theta, Vector& r,

@@ -1,11 +1,14 @@
 // Tests for the NLP layer: NNLS, Levenberg-Marquardt, and the barrier
 // interior-point solver.
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
 
+#include "hslb/common/error.hpp"
 #include "hslb/common/rng.hpp"
+#include "hslb/linalg/least_squares.hpp"
 #include "hslb/nlp/barrier.hpp"
 #include "hslb/nlp/levenberg_marquardt.hpp"
 #include "hslb/nlp/nnls.hpp"
@@ -23,7 +26,6 @@ TEST(Nnls, UnconstrainedInteriorSolution) {
   const Matrix a = Matrix::from_rows({{1, 0}, {0, 1}, {1, 1}});
   const Vector b{1, 2, 3};
   const auto r = solve_nnls(a, b);
-  EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 1.0, 1e-9);
   EXPECT_NEAR(r.x[1], 2.0, 1e-9);
   EXPECT_NEAR(r.residual_norm, 0.0, 1e-9);
@@ -44,22 +46,32 @@ TEST(Nnls, AllZeroWhenGradientNonpositive) {
   EXPECT_NEAR(r.x[0], 0.0, 1e-12);
 }
 
+struct NnlsProblem {
+  Matrix a;
+  Vector b;
+};
+
+/// A random 4..12 x 1..5 problem with entries in [-1, 1].
+NnlsProblem random_nnls_problem(int seed) {
+  common::Rng rng(static_cast<std::uint64_t>(seed) * 271 + 3);
+  const std::size_t m = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+  NnlsProblem p{Matrix(m, n), Vector(m)};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      p.a(i, j) = rng.uniform(-1.0, 1.0);
+    }
+    p.b[i] = rng.uniform(-1.0, 1.0);
+  }
+  return p;
+}
+
 class NnlsKktProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(NnlsKktProperty, SatisfiesKktConditions) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271 + 3);
-  const std::size_t m = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
-  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 4));
-  Matrix a(m, n);
-  Vector b(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = rng.uniform(-1.0, 1.0);
-    }
-    b[i] = rng.uniform(-1.0, 1.0);
-  }
+  const auto [a, b] = random_nnls_problem(GetParam());
+  const std::size_t n = a.cols();
   const auto r = solve_nnls(a, b);
-  ASSERT_TRUE(r.converged);
   // KKT: grad = A^T (A x - b); x_j > 0 => grad_j == 0; x_j == 0 => grad_j >= 0.
   const Vector resid = linalg::subtract(linalg::matvec(a, r.x), b);
   const Vector grad = linalg::matvec_t(a, resid);
@@ -74,6 +86,103 @@ TEST_P(NnlsKktProperty, SatisfiesKktConditions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomNnls, NnlsKktProperty, ::testing::Range(0, 30));
+
+TEST(Nnls, LargePowerColumnDoesNotStallTheSolve) {
+  // A 1-degree component series with the VarPro columns {1/n, n^c, 1}.  At
+  // c >= 2 the n^c column (up to ~1e9) inflates tol = 1e-10 ||A||_F; an
+  // active-set iteration then cycled to its cap and returned x = 0 with
+  // residual 560.2.  The answer drops the n^c column: with all three
+  // columns its least-squares coefficient is positive but below tol.
+  const double nodes[] = {65, 130, 260, 521, 1040};
+  const Vector seconds{463.5004902804356, 250.07464978579421,
+                       148.41488678770472, 96.659809052096662,
+                       71.295597189150541};
+  for (const double c : {2.0, 3.0}) {
+    SCOPED_TRACE(c);
+    Matrix a(5, 3);
+    for (std::size_t i = 0; i < 5; ++i) {
+      a(i, 0) = 1.0 / nodes[i];
+      a(i, 1) = std::pow(nodes[i], c);
+      a(i, 2) = 1.0;
+    }
+    const auto r = solve_nnls(a, seconds);
+    EXPECT_NEAR(r.x[0], 27179.7, 0.1);
+    EXPECT_EQ(r.x[1], 0.0);
+    EXPECT_NEAR(r.x[2], 43.976, 1e-3);
+    EXPECT_NEAR(r.residual_norm, 3.52533, 1e-5);
+    // KKT on the support {1/n, 1}: zero gradient there.
+    const Vector grad = linalg::matvec_t(
+        a, linalg::subtract(linalg::matvec(a, r.x), seconds));
+    EXPECT_NEAR(grad[0], 0.0, 1e-9);
+    EXPECT_NEAR(grad[2], 0.0, 1e-9);
+    // The dropped column fails the tolerance, not the sign.
+    const double tol = 1e-10 * a.frobenius_norm();
+    const double b_coefficient = linalg::solve_least_squares(a, seconds).x[1];
+    EXPECT_GT(b_coefficient, 0.0);
+    EXPECT_LE(b_coefficient, tol);
+  }
+}
+
+/// Smallest ||A x - b|| over x = 0 and every column subset whose
+/// unconstrained least-squares solution is tol-feasible (each coefficient
+/// above 1e-10 max(1, ||A||_F)) -- the NNLS optimum, found by brute force
+/// with the allocating least-squares solver.
+double brute_force_nnls_residual(const Matrix& a, const Vector& b) {
+  const double tol = 1e-10 * std::max(1.0, a.frobenius_norm());
+  double best = linalg::norm2(b);
+  for (unsigned mask = 1; mask < (1u << a.cols()); ++mask) {
+    std::vector<std::size_t> cols;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if ((mask >> j) & 1u) {
+        cols.push_back(j);
+      }
+    }
+    if (cols.size() > a.rows()) {
+      continue;
+    }
+    Matrix sub(a.rows(), cols.size());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        sub(i, k) = a(i, cols[k]);
+      }
+    }
+    const auto ls = linalg::solve_least_squares(sub, b);
+    if (std::all_of(ls.x.begin(), ls.x.end(),
+                    [&](double v) { return v > tol; })) {
+      best = std::min(best, ls.residual_norm);
+    }
+  }
+  return best;
+}
+
+class NnlsSubsetProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(NnlsSubsetProperty, ResidualIsTheBestFeasibleSubset) {
+  // The 30 NnlsKktProperty problems, then the same problems with one column
+  // scaled by 1e9 (the VarPro n^c column's magnitude).
+  const int seed = GetParam() % 30;
+  auto [a, b] = random_nnls_problem(seed);
+  if (GetParam() >= 30) {
+    const std::size_t big = static_cast<std::size_t>(seed) % a.cols();
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      a(i, big) *= 1e9;
+    }
+  }
+  const auto r = solve_nnls(a, b);
+  for (const double v : r.x) {
+    EXPECT_GE(v, 0.0);
+  }
+  EXPECT_EQ(r.residual_norm, brute_force_nnls_residual(a, b));
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomNnls, NnlsSubsetProperty,
+                         ::testing::Range(0, 60));
+
+TEST(Nnls, RejectsMoreColumnsThanItEnumerates) {
+  const Matrix a(kNnlsMaxColumns + 2, kNnlsMaxColumns + 1, 1.0);
+  const Vector b(kNnlsMaxColumns + 2, 1.0);
+  EXPECT_THROW((void)solve_nnls(a, b), InvalidArgument);
+}
 
 // --- Levenberg-Marquardt ----------------------------------------------------
 

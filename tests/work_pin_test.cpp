@@ -4,9 +4,12 @@
 // scenario, and the rebalancing loop's warm re-solves.  Any change to node
 // selection, branching, cut management, LP tolerances, or the control
 // loop's tracker shows up here as a changed count, long before it moves a
-// paper golden.  The pinned values are the solver's own output on these
+// paper golden.  The fitter gets the same treatment: VarPro evaluations per
+// fit and the fitted parameters' exact bits on one 1-degree campaign.  The pinned values are the solver's own output on these
 // inputs; update them only for an intended search change, and say why.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "hslb/cesm/configs.hpp"
 #include "hslb/hslb/layout_model.hpp"
 #include "hslb/hslb/pipeline.hpp"
+#include "hslb/obs/metrics.hpp"
 #include "hslb/rebal/loop.hpp"
 #include "hslb/scen/build.hpp"
 #include "hslb/scen/generate.hpp"
@@ -164,6 +168,63 @@ drift ice noise=0.015
   EXPECT_EQ(r.resolve_nodes, 34);
   EXPECT_EQ(r.resolve_simplex_iterations, 127);
   expect_objective(r.core_hours, 5697.3167333351867);
+}
+
+/// The exact bits of a fitted parameter.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(WorkPin, OneDegreeCampaignFits) {
+  // The four component fits of one 1-degree campaign (hybrid layout, N =
+  // 1300, seed 2534): VarPro evaluations per fit and the exact bits of
+  // (a, b, c, d), with and without the LM polish.  The VarPro-only answer
+  // is the NNLS solution at the best exponent, so a change to the NNLS or
+  // least-squares arithmetic, or to the exponent search, shows here.
+  struct FitPin {
+    ComponentKind kind;
+    bool lm_polish;
+    std::uint64_t a, b, c, d;
+  };
+  const FitPin pins[] = {
+      {ComponentKind::kLnd, true, 0x409725f48d7999d3, 0x3f21d0761182a7c8,
+       0x3ff0000000000000, 0x3ffce3252bd83ad4},
+      {ComponentKind::kIce, true, 0x40bd8354a4992690, 0x0000000000000000,
+       0x3ff0000000000000, 0x402b599fd9703614},
+      {ComponentKind::kAtm, true, 0x40dac253f17a96d1, 0x3f71cbf0a3e2cf8c,
+       0x3ff0000000000000, 0x404473a566101691},
+      {ComponentKind::kOcn, true, 0x40befc968cd05416, 0x3f78aa21e85d9122,
+       0x3ff0000000000000, 0x4043241602220503},
+      {ComponentKind::kLnd, false, 0x409725f48d7999d3, 0x3f21d0761182a7c8,
+       0x3ff0000000000000, 0x3ffce3252bd83ad4},
+      {ComponentKind::kIce, false, 0x40bd8354a497cbd7, 0x0000000000000000,
+       0x3ff0000000000000, 0x402b599fd952d06e},
+      {ComponentKind::kAtm, false, 0x40dac253f17a96d1, 0x3f71cbf0a3e2cf8c,
+       0x3ff0000000000000, 0x404473a566101691},
+      {ComponentKind::kOcn, false, 0x40befc968ccfc654, 0x3f78aa21e5545bf2,
+       0x3ff0000000000000, 0x4043241602192cce},
+  };
+  const cesm::CampaignResult campaign = cesm::gather_benchmarks(
+      cesm::one_degree_case(), LayoutKind::kHybrid,
+      core::default_gather_totals(1300), 2534);
+  for (const FitPin& pin : pins) {
+    SCOPED_TRACE(std::string(cesm::to_string(pin.kind)) +
+                 (pin.lm_polish ? " with LM polish" : " VarPro only"));
+    const cesm::Series series = cesm::series_for(campaign.samples, pin.kind);
+    perf::FitOptions options;
+    options.lm_polish = pin.lm_polish;
+    obs::Registry registry;
+    perf::FitResult fit;
+    {
+      const obs::Install install(nullptr, &registry);
+      fit = perf::fit(series.nodes, series.seconds, options);
+    }
+    // 49 grid points plus 27 golden-section pairs.
+    EXPECT_EQ(registry.counter("perf.fit.varpro_evals").value(), 103.0);
+    const perf::PerfParams& p = fit.model.params();
+    EXPECT_EQ(bits(p.a), pin.a) << p.a;
+    EXPECT_EQ(bits(p.b), pin.b) << p.b;
+    EXPECT_EQ(bits(p.c), pin.c) << p.c;
+    EXPECT_EQ(bits(p.d), pin.d) << p.d;
+  }
 }
 
 }  // namespace
